@@ -2,6 +2,18 @@
 
 Distances are computed on squared values internally; square roots are taken
 only at API boundaries, so exact zeros for coincident rows survive.
+
+Nearest-member queries (``min_sq_dists``, hence ``cost``, and the exact
+oracle) run through one blocked kernel, ``_nearest_sq``. It screens members
+with a GEMM, ``|x|^2 - 2 x.c + |c|^2``, on points and members translated to
+the midpoint of the members' bounding box. Then it recomputes the squared
+distance from coordinate differences, as ``sq_dists_to_point`` does, to the
+screened winner and to every other member whose screen lies within twice
+the rounding bound ``8 (d + 2) eps (|x|^2 + max |c|^2)`` of the row's
+minimum. So its values are exactly those of one ``sq_dists_to_point`` pass
+per member: coincident rows get exactly 0.0, and exact ties go to the
+lowest member index. Each block buffer holds at most ``_BLOCK_ELEMS``
+float64 values (512 KiB), and a block at least one row.
 """
 
 from __future__ import annotations
@@ -9,6 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 MAX_SEED = 2**64
+
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
+# cap on the float64 values in one block buffer of the nearest-member kernel
+_BLOCK_ELEMS = 1 << 16
 
 # Stream tags: every randomized operation derives its generator from
 # (master seed, tag, ...indices), so one seed reproduces the whole run
@@ -146,17 +163,87 @@ def _center_rows(dataset: Dataset, centers) -> np.ndarray:
     return rows
 
 
+def _exact_sq(points: np.ndarray, members: np.ndarray, rows, cols) -> np.ndarray:
+    """|points[rows] - members[cols]|^2 pairwise, summed as sq_dists_to_point sums."""
+    out = np.empty(rows.size)
+    step = max(1, _BLOCK_ELEMS // points.shape[1])
+    for t in range(0, rows.size, step):
+        diff = points[rows[t:t + step]] - members[cols[t:t + step]]
+        out[t:t + step] = np.einsum("ij,ij->i", diff, diff)
+    return out
+
+
+def _nearest_sq(points: np.ndarray, members: np.ndarray):
+    """(position of the nearest member, its squared distance) for every row.
+
+    The distances equal the minimum over members of sq_dists_to_point
+    exactly; among members at exactly equal distance the lowest position
+    wins.
+
+    Screening bound. Points and members are translated to the midpoint o of
+    the members' bounding box, so x and c below are x - o and c - o, and
+    u = eps / 2. The screen h_j = -2 x.c_j + |c_j|^2, one GEMM over d + 1
+    terms, is off from |x - c_j|^2 - |x|^2 by at most (3d + 2) u (|x|^2 +
+    |c_j|^2): the d + 1 term sum plus the rounding of |c_j|^2. Rounding the
+    translation moves |x - c_j|^2 by at most 4u (|x|^2 + |c_j|^2). The
+    exact value, the rounded sum of squared rounded differences, is off by
+    at most (d + 2) u |x - c_j|^2 <= (2d + 4) u (|x|^2 + |c_j|^2). With 2u
+    for rounding the threshold the total is (5d + 12) u, below the bound
+    used, the checker's 8 (d + 2) eps (|x|^2 + max |c|^2), plus (d + 2)
+    tiny for underflow. A member whose screen exceeds the row's minimum by
+    twice that bound is therefore strictly farther than the screened
+    winner. Rows with another member inside the window are re-checked on
+    exact values over the members inside it; a NaN screen (overflowed
+    coordinates) keeps every member of its row inside.
+    """
+    n, d = points.shape
+    m = members.shape[0]
+    best = np.empty(n)
+    arg = np.empty(n, dtype=np.int64)
+    origin = members.min(axis=0) * 0.5 + members.max(axis=0) * 0.5
+    centered = members - origin
+    cc = np.einsum("ij,ij->i", centered, centered)
+    # points carry a trailing 1 so that the GEMM also adds |c|^2
+    screen_by = np.vstack([-2.0 * centered.T, cc])
+    bound = 8.0 * (d + 2) * _EPS
+    base = (d + 2) * _TINY + bound * cc.max()
+    step = max(1, min(n, _BLOCK_ELEMS // (m + d)))
+    shifted = np.ones((step, d + 1))
+    screen = np.empty((step, m))
+    for s in range(0, n, step):
+        x = points[s:s + step]
+        b = x.shape[0]
+        xo = np.subtract(x, origin, out=shifted[:b, :d])
+        h = np.matmul(shifted[:b], screen_by, out=screen[:b])
+        r = np.arange(b)
+        pos = h.argmin(axis=1)
+        low = h[r, pos]
+        thr = low + 2.0 * (bound * np.einsum("ij,ij->i", xo, xo) + base)
+        h[r, pos] = np.inf
+        amb = np.flatnonzero(np.logical_not(h[r, h.argmin(axis=1)] > thr))
+        diff = x - members[pos]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        if amb.size:
+            h[r, pos] = low
+            rows, cols = np.nonzero(np.logical_not(h[amb] > thr[amb, None]))
+            exact = _exact_sq(x, members, amb[rows], cols)
+            # pairs ascend by (row, member); every ambiguous row has one
+            near = np.minimum.reduceat(exact, np.flatnonzero(np.diff(rows, prepend=-1)))
+            hit = np.flatnonzero(exact == near[rows])
+            d2[amb] = near
+            pos[amb] = cols[hit[np.diff(rows[hit], prepend=-1) != 0]]
+        best[s:s + b] = d2
+        arg[s:s + b] = pos
+    return arg, best
+
+
 def min_sq_dists(dataset: Dataset, centers) -> np.ndarray:
     """Per-row squared distance to the nearest center.
 
-    Centers are processed in order with strict-improvement updates, so the
-    implied nearest-center assignment breaks ties toward the earliest center.
+    Exactly the minimum over centers of sq_dists_to_point, so a row that
+    coincides with a center gets 0.0.
     """
-    rows = _center_rows(dataset, centers)
-    best = sq_dists_to_point(dataset.coords, rows[0])
-    for c in rows[1:]:
-        np.minimum(best, sq_dists_to_point(dataset.coords, c), out=best)
-    return best
+    return _nearest_sq(dataset.coords, _center_rows(dataset, centers))[1]
 
 
 def cost(dataset: Dataset, centers) -> float:

@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .core import STREAM_LSH, Dataset, index_subset, rng_stream, sq_dists_to_point
+from .core import (STREAM_LSH, Dataset, _nearest_sq, index_subset, rng_stream,
+                   sq_dists_to_point)
 
 _MIN_TABLES = 4
 _MAX_TABLES = 64
@@ -38,15 +39,8 @@ class ExactOracle:
         return int(self.built_on[pos]), float(np.sqrt(d2[pos]))
 
     def query_many(self, points: np.ndarray):
-        pts = np.asarray(points, dtype=np.float64)
-        best = sq_dists_to_point(pts, self.members[0])
-        arg = np.zeros(pts.shape[0], dtype=np.int64)
-        for j in range(1, self.members.shape[0]):
-            d2 = sq_dists_to_point(pts, self.members[j])
-            better = d2 < best
-            best[better] = d2[better]
-            arg[better] = j
-        return self.built_on[arg], np.sqrt(best)
+        pos, d2 = _nearest_sq(np.asarray(points, dtype=np.float64), self.members)
+        return self.built_on[pos], np.sqrt(d2)
 
 
 class LshOracle:

@@ -9,6 +9,8 @@ from itertools import combinations
 
 import numpy as np
 
+from kcover.core import sq_dists_to_point
+
 
 def pairwise_dists(coords: np.ndarray) -> np.ndarray:
     diff = coords[:, None, :] - coords[None, :, :]
@@ -25,6 +27,23 @@ def covering_ok(coords: np.ndarray, subset, radius: float, slack: float = 1e-9) 
         d2 = ((coords - m) ** 2).sum(axis=1)
         np.minimum(best, d2, out=best)
     return bool(np.sqrt(best.max()) <= radius + slack * (1.0 + radius))
+
+
+def nearest_member_loop(points: np.ndarray, members: np.ndarray):
+    """(nearest member position, squared distance) per row, one member at a time.
+
+    The per-member loop the blocked kernel replaced, kept as its reference:
+    strict-improvement updates over members in order, so an exact tie keeps
+    the lowest position.
+    """
+    best = sq_dists_to_point(points, members[0])
+    arg = np.zeros(points.shape[0], dtype=np.int64)
+    for j in range(1, members.shape[0]):
+        d2 = sq_dists_to_point(points, members[j])
+        better = d2 < best
+        best[better] = d2[better]
+        arg[better] = j
+    return arg, best
 
 
 def max_min_dist(coords: np.ndarray, center_rows) -> float:

@@ -16,7 +16,7 @@ from kcover.core import (
     rng_stream,
 )
 
-from conftest import max_min_dist
+from conftest import max_min_dist, nearest_member_loop
 
 
 def test_dist_3_4_5_triangle():
@@ -167,6 +167,8 @@ def test_min_sq_dists_matches_direct_computation():
     ds = Dataset(rng.normal(size=(30, 4)))
     centers = [4, 11, 25]
     got = min_sq_dists(ds, np.asarray(centers))
+    assert np.array_equal(got, nearest_member_loop(ds.coords, ds.coords[centers])[1])
+    # the direct form sums squares in another order, so it agrees to rounding
     want = np.min(
         [((ds.coords - ds.coords[c]) ** 2).sum(axis=1) for c in centers], axis=0
     )

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import kcover.experiment
 from kcover.cli import EXIT_CONSTRUCTION, EXIT_IO, EXIT_USAGE, main
 from kcover.core import Dataset
 from kcover.datasets import SyntheticSpec, generate_synthetic
@@ -20,6 +21,7 @@ from kcover.experiment import (
     read_report_csv,
     run_sweep,
 )
+from kcover.solver import gonzalez
 
 
 def planted(n=400, d=3, k=4, seed=0):
@@ -81,6 +83,24 @@ def test_sweep_benchmark_only():
         assert r.budget_requested == data.n
         assert r.coreset_size_actual == data.n
         assert r.build_seconds == 0.0
+
+
+def test_sweep_solves_full_data_once(monkeypatch):
+    data = planted(n=200, k=3, seed=12)
+    full_solves = []
+
+    def counting_gonzalez(dataset, k, start_index=0):
+        if dataset.n == data.n:
+            full_solves.append(k)
+        return gonzalez(dataset, k, start_index=start_index)
+
+    monkeypatch.setattr(kcover.experiment, "gonzalez", counting_gonzalez)
+    rows = run_sweep(data, k=3, methods=("benchmark", "uniform"), budgets=(6, 12),
+                     trials=3, seed=0)
+    assert full_solves == [3]
+    bench = [r for r in rows if r.method == "benchmark"]
+    assert [r.trial for r in bench] == [0, 1, 2]
+    assert len({r.cost_on_full for r in bench}) == 1
 
 
 def test_sweep_hash_planted_ratios_finite():
