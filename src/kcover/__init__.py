@@ -44,7 +44,7 @@ from .gridhash import (
     sample_hash,
     zero_shift_hash,
 )
-from .neighbor import ExactOracle, LshOracle, build_oracle, query_oracle
+from .neighbor import ExactOracle, LshOracle, build_oracle
 from .sampling import (
     SampleCoveringConfig,
     build_covering_sample,
@@ -102,7 +102,6 @@ __all__ = [
     "low_dim_baseline",
     "merge_coverings",
     "project_1d",
-    "query_oracle",
     "read_report_csv",
     "reduce_covering",
     "representatives",

@@ -101,15 +101,25 @@ def _cmd_synth(args) -> int:
 def _cmd_coreset(args) -> int:
     data = _load(args)
     k = _default_k(args, data.n)
-    if args.method in ("hash", "lowdim"):
-        if args.mode == "budget" and args.budget is None:
-            raise ValueError("--budget is required in budget mode")
-        cfg = HashCoveringConfig(k=k, beta=args.beta, mode=args.mode,
-                                 budget=args.budget, gamma=args.gamma,
-                                 threshold_factor=args.threshold_factor,
-                                 seed=args.seed)
-        build = build_covering_hash if args.method == "hash" else low_dim_baseline
-        result = build(data, cfg)
+    if args.method == "uniform":
+        if args.budget is None:
+            raise ValueError("--budget is required for the uniform method")
+        subset = uniform_baseline(data, args.budget, args.seed)
+        payload = {"method": "uniform", "indices": [int(i) for i in subset],
+                   "radiusBound": None}
+    else:
+        if args.method == "sample":
+            result = build_covering_sample(data, SampleCoveringConfig(
+                k=k, beta=args.beta, oracle_kind=args.oracle, seed=args.seed))
+        else:
+            if args.mode == "budget" and args.budget is None:
+                raise ValueError("--budget is required in budget mode")
+            cfg = HashCoveringConfig(k=k, beta=args.beta, mode=args.mode,
+                                     budget=args.budget,
+                                     threshold_factor=args.threshold_factor,
+                                     seed=args.seed)
+            build = build_covering_hash if args.method == "hash" else low_dim_baseline
+            result = build(data, cfg)
         payload = {
             "method": args.method,
             "indices": [int(i) for i in result.subset],
@@ -118,26 +128,6 @@ def _cmd_coreset(args) -> int:
             "iterations": result.iterations,
             "sizes": list(result.sizes),
         }
-    elif args.method == "sample":
-        cfg = SampleCoveringConfig(k=k, beta=args.beta, oracle_kind=args.oracle,
-                                   gamma=args.gamma, seed=args.seed)
-        result = build_covering_sample(data, cfg)
-        payload = {
-            "method": "sample",
-            "indices": [int(i) for i in result.subset],
-            "radiusBound": result.radius_bound,
-            "tauUsed": result.tau_used,
-            "iterations": result.iterations,
-            "sizes": list(result.sizes),
-        }
-    elif args.method == "uniform":
-        if args.budget is None:
-            raise ValueError("--budget is required for the uniform method")
-        subset = uniform_baseline(data, args.budget, args.seed)
-        payload = {"method": "uniform", "indices": [int(i) for i in subset],
-                   "radiusBound": None}
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown method {args.method!r}")
     _write_json(args.output, payload)
     size = len(payload["indices"])
     print(f"coreset of {size} rows out of {data.n} written to {args.output}")
@@ -226,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--mode", choices=("theory", "budget"), default="budget")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--threshold-factor", type=float, default=200.0)
     p.add_argument("--oracle", choices=("exact", "lsh"), default="exact")
     p.add_argument("--seed", type=int, default=0)

@@ -18,6 +18,7 @@ from .core import Dataset
 from .dimred import project_1d
 
 _MAX_BISECTIONS = 128
+_REPEATS = 3  # random directions per estimate
 
 
 @dataclass(frozen=True)
@@ -94,19 +95,13 @@ def kcenter_1d(values, k: int) -> float:
     return hi
 
 
-def coarse_approx(dataset: Dataset, k: int, seed: int,
-                  gamma: float | None = None, repeats: int = 3) -> CoarseEstimate:
-    """Median of 1-D solutions over `repeats` random directions.
+def coarse_approx(dataset: Dataset, k: int, seed: int) -> CoarseEstimate:
+    """Median of 1-D solutions over _REPEATS random directions.
 
-    gamma defaults to n**2; it bounds how far the estimate may sit from the
-    true cost and downstream sweeps cover the range [apx/gamma, apx*gamma].
+    gamma is n**2; it bounds how far the estimate may sit from the true
+    cost and downstream sweeps cover the range [apx/gamma, apx*gamma].
     """
     if not 1 <= k <= dataset.n:
         raise ValueError("k must lie in [1, n]")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if gamma is None:
-        gamma = float(dataset.n) ** 2
-    gamma = float(max(gamma, 1.0))
-    estimates = [kcenter_1d(project_1d(dataset, seed, stream=t), k) for t in range(repeats)]
-    return CoarseEstimate(apx=float(np.median(estimates)), gamma=gamma)
+    estimates = [kcenter_1d(project_1d(dataset, seed, stream=t), k) for t in range(_REPEATS)]
+    return CoarseEstimate(apx=float(np.median(estimates)), gamma=float(dataset.n) ** 2)

@@ -13,7 +13,12 @@ the rounding bound ``8 (d + 2) eps (|x|^2 + max |c|^2)`` of the row's
 minimum. So its values are exactly those of one ``sq_dists_to_point`` pass
 per member: coincident rows get exactly 0.0, and exact ties go to the
 lowest member index. Each block buffer holds at most ``_BLOCK_ELEMS``
-float64 values (512 KiB), and a block at least one row.
+float64 values (512 KiB), and a block at least one row. Members are
+collapsed to their first occurrences before the screen, so copies of one
+member never widen a row's re-check window.
+
+Exact row dedup, of grid cells and of coordinates alike, is one routine,
+``first_occurrences``.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
 # cap on the float64 values in one block buffer of the nearest-member kernel
 _BLOCK_ELEMS = 1 << 16
+# fixed seed of the row-mix multipliers; no dedup result depends on it
+_MIX_SEED = 0x6B636F766572
 
 # Stream tags: every randomized operation derives its generator from
 # (master seed, tag, ...indices), so one seed reproduces the whole run
@@ -139,10 +146,47 @@ def dist_to_set(point, subset, dataset: Dataset):
     p = np.asarray(point, dtype=np.float64).ravel()
     if p.shape[0] != dataset.d:
         raise ValueError("point dimension does not match dataset")
-    d2 = sq_dists_to_point(dataset.coords[idx], p)
-    best = d2.min()
-    winner = int(idx[d2 == best].min())
-    return float(np.sqrt(best)), winner
+    rows = index_subset(idx, dataset.n)
+    pos, d2 = _nearest_sq(p[None], dataset.coords[rows])
+    return float(np.sqrt(d2[0])), int(rows[pos[0]])
+
+
+def row_keys(rows) -> np.ndarray:
+    """64-bit linear mix of each row of a 2-D integer array.
+
+    Equal rows get equal keys and distinct rows collide only by chance, so
+    the number of distinct keys is a lower bound on the number of distinct
+    rows.
+    """
+    u = np.asarray(rows, dtype=np.int64).view(np.uint64)
+    # random odd multipliers: structured ones (say, multiples of one
+    # constant) make grid cells collide all the time
+    mults = np.random.default_rng(_MIX_SEED).integers(
+        0, 2**63, size=u.shape[1], dtype=np.int64).astype(np.uint64) | np.uint64(1)
+    # folding the high half onto the low half lets the mix see entries whose
+    # low bits are all zero, such as the bit patterns of short floats; the
+    # uint64 matmul wraps modulo 2**64 and runs several times faster than a
+    # multiply and row sum
+    return (u ^ (u >> 32)) @ mults
+
+
+def first_occurrences(rows) -> np.ndarray:
+    """Lowest index of each distinct row of a 2-D array, sorted ascending.
+
+    Integer rows (grid cells) compare as full vectors. Float rows compare by
+    the bit pattern of ``row + 0.0``, so 0.0 and -0.0 are one value, as
+    ``np.unique`` treats them. Rows are grouped by row_keys and each group
+    is verified against its first row; on a key collision the routine
+    falls back to a lexicographic ``np.unique``.
+    """
+    arr = np.asarray(rows)
+    if arr.dtype.kind == "f":
+        arr = (arr.astype(np.float64, copy=False) + 0.0).view(np.int64)
+    arr = arr.astype(np.int64, copy=False)
+    _, first, inverse = np.unique(row_keys(arr), return_index=True, return_inverse=True)
+    if not np.array_equal(arr, arr[first[inverse]]):
+        _, first = np.unique(arr, axis=0, return_index=True)
+    return np.sort(first.astype(np.int64))
 
 
 def _center_rows(dataset: Dataset, centers) -> np.ndarray:
@@ -178,7 +222,8 @@ def _nearest_sq(points: np.ndarray, members: np.ndarray):
 
     The distances equal the minimum over members of sq_dists_to_point
     exactly; among members at exactly equal distance the lowest position
-    wins.
+    wins. A later copy of a member never wins, so the screen runs on the
+    first occurrence of each distinct member alone.
 
     Screening bound. Points and members are translated to the midpoint o of
     the members' bounding box, so x and c below are x - o and c - o, and
@@ -196,6 +241,8 @@ def _nearest_sq(points: np.ndarray, members: np.ndarray):
     exact values over the members inside it; a NaN screen (overflowed
     coordinates) keeps every member of its row inside.
     """
+    keep = first_occurrences(members)
+    members = members[keep]
     n, d = points.shape
     m = members.shape[0]
     best = np.empty(n)
@@ -234,7 +281,7 @@ def _nearest_sq(points: np.ndarray, members: np.ndarray):
             pos[amb] = cols[hit[np.diff(rows[hit], prepend=-1) != 0]]
         best[s:s + b] = d2
         arg[s:s + b] = pos
-    return arg, best
+    return keep[arg], best
 
 
 def min_sq_dists(dataset: Dataset, centers) -> np.ndarray:

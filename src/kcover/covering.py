@@ -5,10 +5,14 @@ every point of the dataset is within rho of some member of S. Solving the
 k-center problem on S and keeping the returned radius bound as additive
 slack turns any approximation on S into one on the full set.
 
-The construction sweeps a geometric grid of scales tau anchored at a coarse
-cost estimate. At each scale it hashes the points into a randomly shifted
-grid and keeps one representative per occupied cell, stopping at the first
-scale whose cell count fits under a threshold:
+Every construction runs one scale sweep, sweep_scales: it anchors on a
+coarse cost estimate, collapses exact duplicates when the estimate is 0,
+and then tries a geometric grid of scales tau, calling the construction's
+per-scale step until one accepts. The sampling construction
+(kcover.sampling) plugs its rounds in as a step. The grid-hash step hashes
+the points into a randomly shifted grid (unshifted for low_dim_baseline)
+and keeps one representative per occupied cell; it accepts the first scale
+whose cell count fits under a threshold:
 
   theory mode  caps the count at threshold_factor * k * t_beta(d, beta)
                with the grid at scale beta * tau, so the radius bound is
@@ -32,7 +36,9 @@ from .core import (
     STREAM_UNIFORM_SAMPLE,
     ConstructionFailedError,
     Dataset,
+    first_occurrences,
     rng_stream,
+    row_keys,
 )
 from .gridhash import eval_hash_batch, sample_hash, zero_shift_hash
 
@@ -73,9 +79,7 @@ class HashCoveringConfig:
     beta: float = 2.0
     mode: str = "theory"  # "theory" | "budget"
     budget: int | None = None
-    t_beta_constants: tuple[float, float, float] = (1.0, 1.0, 2.76)
     threshold_factor: float = 200.0
-    gamma: float | None = None
     seed: int = 0
 
 
@@ -105,37 +109,60 @@ def representatives(cells, dataset: Dataset) -> np.ndarray:
     arr = np.asarray(cells, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[0] != dataset.n:
         raise ValueError("cells must be an (n, dim) array aligned with the dataset")
-    _, first = np.unique(arr, axis=0, return_index=True)
-    return np.sort(first.astype(np.int64))
+    return first_occurrences(arr)
 
 
-def _mix_keys(cells: np.ndarray, mults: np.ndarray) -> np.ndarray:
-    # salted linear mix over uint64 wraparound; collisions are possible in
-    # principle, so every use is either advisory or verified afterwards
-    return (cells.astype(np.uint64) * mults).sum(axis=1, dtype=np.uint64)
+def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float,
+                 threshold: float = math.inf, reach_spread: bool = False) -> CoveringResult:
+    """Geometric scale sweep shared by every covering construction.
 
+    Anchors on the coarse estimate apx with slack gamma = n**2 and tries
+    tau = (apx / gamma) * 2**i for i = 0, 1, ... until step(i, tau), which
+    returns (size, subset or None), accepts a scale; the covering's radius
+    bound is radius_factor * tau. Every step's size goes into sizes.
 
-def _dedup_cells(cells: np.ndarray, mults: np.ndarray):
-    """Exact first-occurrence dedup of integer cell vectors.
-
-    Groups rows by the mixed key, then verifies group purity with a
-    full-vector comparison against each group's first row; on the (near
-    impossible) mix collision it falls back to a lexicographic dedup.
-    Returns (sorted representative rows, exact distinct count).
+    When the estimate is 0 (at most k distinct rows), the exact-duplicate
+    collapse is tried first and kept, at radius 0, if its size is at most
+    threshold. reach_spread extends the sweep until one grid cell can hold
+    the whole spread, plus _BUDGET_EXTRA_DOUBLINGS scales.
     """
-    keys = _mix_keys(cells, mults)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rep_per_row = first[inverse]
-    if np.array_equal(cells, cells[rep_per_row]):
-        return np.sort(first.astype(np.int64)), int(first.shape[0])
-    _, first = np.unique(cells, axis=0, return_index=True)
-    first = first.astype(np.int64)
-    return np.sort(first), int(first.shape[0])
+    est = coarse_approx(dataset, k, seed)
+    apx, gamma = est.apx, est.gamma
+    coords = dataset.coords
+    spread = float((coords.max(axis=0) - coords.min(axis=0)).max())
+    sizes: list[int] = []
 
+    if apx == 0.0:
+        reps = first_occurrences(coords)
+        sizes.append(reps.shape[0])
+        if reps.shape[0] <= threshold:
+            return CoveringResult(subset=reps, radius_bound=0.0, tau_used=0.0,
+                                  iterations=1, sizes=tuple(sizes))
+        if spread == 0.0:
+            # a single distinct row already exceeded the threshold
+            raise ConstructionFailedError(
+                f"threshold {threshold:g} admits no nonempty subset", sizes=sizes)
+        apx = spread
 
-def _duplicate_rows_subset(dataset: Dataset) -> np.ndarray:
-    _, first = np.unique(dataset.coords, axis=0, return_index=True)
-    return np.sort(first.astype(np.int64))
+    n_iters = math.ceil(math.log2(gamma))
+    if reach_spread:
+        # keep doubling until one cell can hold the whole spread; a handful of
+        # fresh shifts at that scale succeeds with overwhelming probability
+        if spread > 0:
+            need = 2.0 * dataset.d ** 1.5 * spread / (apx / gamma)
+            n_iters = max(n_iters, math.ceil(math.log2(max(need, 1.0))))
+        n_iters += _BUDGET_EXTRA_DOUBLINGS
+
+    for i in range(n_iters + 1):
+        tau = (apx / gamma) * float(2**i)
+        size, subset = step(i, tau)
+        sizes.append(size)
+        if subset is not None:
+            return CoveringResult(subset=subset, radius_bound=radius_factor * tau,
+                                  tau_used=float(tau), iterations=i + 1,
+                                  sizes=tuple(sizes))
+    raise ConstructionFailedError(
+        f"no scale fit within {n_iters + 1} doublings", sizes=sizes)
 
 
 def _sweep_hash(dataset: Dataset, cfg: HashCoveringConfig, shifted: bool) -> CoveringResult:
@@ -150,74 +177,35 @@ def _sweep_hash(dataset: Dataset, cfg: HashCoveringConfig, shifted: bool) -> Cov
         if cfg.budget is None or cfg.budget < 1:
             raise ValueError("budget mode requires a positive budget")
         threshold = float(cfg.budget)
+        factor = 1.0
     else:
         if cfg.threshold_factor <= 0:
             raise ValueError("threshold_factor must be positive")
-        threshold = cfg.threshold_factor * cfg.k * t_beta_bound(d, cfg.beta, cfg.t_beta_constants)
-
-    est = coarse_approx(dataset, cfg.k, cfg.seed, gamma=cfg.gamma)
-    apx, gamma = est.apx, est.gamma
-    sizes: list[int] = []
-
-    if apx == 0.0:
-        # estimator saw at most k distinct values; usually the data really is
-        # a handful of duplicate groups, so try exact-duplicate collapse first
-        reps = _duplicate_rows_subset(dataset)
-        sizes.append(reps.shape[0])
-        if reps.shape[0] <= threshold:
-            return CoveringResult(subset=reps, radius_bound=0.0, tau_used=0.0,
-                                  iterations=1, sizes=tuple(sizes))
-        spread = float((dataset.coords.max(axis=0) - dataset.coords.min(axis=0)).max())
-        if spread == 0.0:
-            # a single distinct row already exceeded the threshold
-            raise ConstructionFailedError(
-                f"threshold {threshold:g} admits no nonempty subset", sizes=sizes)
-        apx = spread
-
-    n_iters = math.ceil(math.log2(gamma))
-    if cfg.mode == "budget":
-        # keep doubling until one cell can hold the whole spread; a handful of
-        # fresh shifts at that scale succeeds with overwhelming probability
-        spread = float((dataset.coords.max(axis=0) - dataset.coords.min(axis=0)).max())
-        tau0 = apx / gamma
-        if spread > 0:
-            need = 2.0 * d ** 1.5 * spread / tau0
-            n_iters = max(n_iters, math.ceil(math.log2(max(need, 1.0))))
-        n_iters += _BUDGET_EXTRA_DOUBLINGS
+        threshold = cfg.threshold_factor * cfg.k * t_beta_bound(d, cfg.beta)
+        factor = cfg.beta
 
     # fixed row subsample lets hopeless scales be rejected cheaply: its
-    # distinct-cell count never exceeds the full one
-    mults = rng_stream(cfg.seed, STREAM_SCALE_FILTER, 1).integers(
-        0, 2**63, size=d, dtype=np.int64).astype(np.uint64) | np.uint64(1)
+    # distinct-key count never exceeds the full distinct-cell count
     sample_cap = int(min(n, threshold + 2048)) if math.isfinite(threshold) else n
-    use_filter = sample_cap < n
-    if use_filter:
+    filter_coords = None
+    if sample_cap < n:
         filter_rows = rng_stream(cfg.seed, STREAM_SCALE_FILTER).choice(
             n, size=sample_cap, replace=False)
         filter_coords = dataset.coords[filter_rows]
 
-    for i in range(n_iters + 1):
-        tau = (apx / gamma) * float(2**i)
-        scale = cfg.beta * tau if cfg.mode == "theory" else tau
+    def step(i: int, tau: float):
+        scale = factor * tau
         h = (sample_hash(d, scale, cfg.seed, stream=i) if shifted
              else zero_shift_hash(d, scale))
-        if use_filter:
-            sub_cells = eval_hash_batch(h, filter_coords)
-            sub_count = int(np.unique(_mix_keys(sub_cells, mults)).size)
+        if filter_coords is not None:
+            sub_count = np.unique(row_keys(eval_hash_batch(h, filter_coords))).size
             if sub_count > threshold:
-                sizes.append(sub_count)
-                continue
-        cells = eval_hash_batch(h, dataset.coords)
-        reps, count = _dedup_cells(cells, mults)
-        sizes.append(count)
-        if count <= threshold:
-            return CoveringResult(subset=reps, radius_bound=float(scale),
-                                  tau_used=float(tau), iterations=i + 1,
-                                  sizes=tuple(sizes))
+                return sub_count, None
+        reps = first_occurrences(eval_hash_batch(h, dataset.coords))
+        return reps.shape[0], (reps if reps.shape[0] <= threshold else None)
 
-    raise ConstructionFailedError(
-        f"no scale produced at most {threshold:g} cells "
-        f"within {n_iters + 1} doublings", sizes=sizes)
+    return sweep_scales(dataset, cfg.k, cfg.seed, step, factor, threshold,
+                        reach_spread=cfg.mode == "budget")
 
 
 def build_covering_hash(dataset: Dataset, cfg: HashCoveringConfig) -> CoveringResult:

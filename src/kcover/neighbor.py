@@ -33,10 +33,8 @@ class ExactOracle:
         self.parameters = {}
 
     def query(self, x):
-        p = np.asarray(x, dtype=np.float64).ravel()
-        d2 = sq_dists_to_point(self.members, p)
-        pos = int(np.argmin(d2))  # first minimum; members sorted by row index
-        return int(self.built_on[pos]), float(np.sqrt(d2[pos]))
+        idx, dists = self.query_many(np.asarray(x, dtype=np.float64).ravel()[None])
+        return int(idx[0]), float(dists[0])
 
     def query_many(self, points: np.ndarray):
         pos, d2 = _nearest_sq(np.asarray(points, dtype=np.float64), self.members)
@@ -142,8 +140,3 @@ def build_oracle(dataset: Dataset, subset, kind: str = "exact",
     if kind == "lsh":
         return LshOracle(dataset, subset, beta=beta, seed=seed)
     raise ValueError(f"unknown oracle kind {kind!r}")
-
-
-def query_oracle(oracle, x):
-    """(member row index or None, distance estimate; inf on a miss)."""
-    return oracle.query(x)

@@ -6,8 +6,9 @@ and removes every pool point whose estimated distance to the batch is at
 most 2 * beta * tau. When tau is at least the true cost, a batch of
 Theta(k log n) samples halves the pool with constant probability, so a
 logarithmic number of rounds empties it; the union of all batches is then a
-covering with radius bound 2 * beta * tau. The outer loop sweeps tau over
-the same geometric grid the hash construction uses.
+covering with radius bound 2 * beta * tau. The rounds at one tau are the
+per-scale step of the shared sweep, covering.sweep_scales, which also
+handles duplicate-only data.
 """
 
 from __future__ import annotations
@@ -17,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coarse import coarse_approx
-from .core import (
-    STREAM_ROUND_SAMPLE,
-    ConstructionFailedError,
-    Dataset,
-    rng_stream,
-)
-from .covering import CoveringResult
+from .core import STREAM_ROUND_SAMPLE, Dataset, rng_stream
+from .covering import CoveringResult, sweep_scales
 from .neighbor import build_oracle
 
 _ROUNDS_PER_LOG = 5
@@ -36,7 +31,6 @@ class SampleCoveringConfig:
     beta: float = 2.0
     sample_constant: float = 3.0  # samples per round = ceil(c * k * ln n)
     oracle_kind: str = "exact"    # "exact" | "lsh"
-    gamma: float | None = None
     seed: int = 0
 
 
@@ -96,42 +90,15 @@ def _oracle_seed(seed: int, tau_index: int, j: int) -> int:
 
 def build_covering_sample(dataset: Dataset, cfg: SampleCoveringConfig) -> CoveringResult:
     """Sweep tau ascending and return the first radius whose rounds converge."""
-    n = dataset.n
-    if not 1 <= cfg.k <= n:
+    if not 1 <= cfg.k <= dataset.n:
         raise ValueError("k must lie in [1, n]")
     if cfg.beta < 1:
         raise ValueError("beta must be >= 1")
     if cfg.sample_constant <= 0:
         raise ValueError("sample_constant must be positive")
 
-    est = coarse_approx(dataset, cfg.k, cfg.seed, gamma=cfg.gamma)
-    apx, gamma = est.apx, est.gamma
-    sizes: list[int] = []
-
-    if apx == 0.0:
-        # duplicate-heavy data: at tau = 0 the rounds remove exact copies of
-        # the samples, which suffices when few distinct rows remain
-        subset, total = run_sampling_rounds(dataset, 0.0, cfg, tau_index=0)
-        sizes.append(total if subset is None else subset.shape[0])
-        if subset is not None:
-            return CoveringResult(subset=subset, radius_bound=0.0, tau_used=0.0,
-                                  iterations=1, sizes=tuple(sizes))
-        spread = float((dataset.coords.max(axis=0) - dataset.coords.min(axis=0)).max())
-        if spread == 0.0:
-            raise ConstructionFailedError("rounds did not converge on identical rows",
-                                          sizes=sizes)
-        apx = spread
-
-    n_iters = math.ceil(math.log2(gamma))
-    for i in range(n_iters + 1):
-        tau = (apx / gamma) * float(2**i)
+    def step(i: int, tau: float):
         subset, total = run_sampling_rounds(dataset, tau, cfg, tau_index=i + 1)
-        sizes.append(total if subset is None else subset.shape[0])
-        if subset is not None:
-            return CoveringResult(subset=subset,
-                                  radius_bound=2.0 * cfg.beta * tau,
-                                  tau_used=float(tau), iterations=i + 1,
-                                  sizes=tuple(sizes))
-    raise ConstructionFailedError(
-        f"sampling rounds never emptied the pool within {n_iters + 1} radii",
-        sizes=sizes)
+        return (total, None) if subset is None else (subset.shape[0], subset)
+
+    return sweep_scales(dataset, cfg.k, cfg.seed, step, 2.0 * cfg.beta)

@@ -10,7 +10,7 @@ covering's rows costs only the sum of the two radii.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,10 +87,6 @@ def evaluate_on_full(dataset: Dataset, coreset_rows, solution: CenterSolution) -
     if original.min() < 0 or original.max() >= dataset.n:
         raise ValueError("coreset_rows do not index into the dataset")
     return cost(dataset, original)
-
-
-def with_full_cost(solution: CenterSolution, value: float) -> CenterSolution:
-    return replace(solution, cost_on_full_set=float(value))
 
 
 def merge_coverings(dataset_a: Dataset, covering_a: CoveringResult,

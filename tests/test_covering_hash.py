@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kcover import core
 from kcover.core import ConstructionFailedError, Dataset
 from kcover.covering import (
     HashCoveringConfig,
@@ -49,9 +50,12 @@ def test_representatives_all_distinct():
     assert representatives(cells, data).tolist() == [0, 1, 2, 3, 4]
 
 
-def test_representatives_first_occurrence():
+def test_representatives_first_occurrence(monkeypatch):
     data = Dataset(np.zeros((5, 1)))
     cells = np.array([[0], [1], [0], [2], [1]], dtype=np.int64)  # A B A C B
+    assert representatives(cells, data).tolist() == [0, 1, 3]
+    # every row under one key: verification must catch it and dedup exactly
+    monkeypatch.setattr(core, "row_keys", lambda rows: np.zeros(len(rows), dtype=np.uint64))
     assert representatives(cells, data).tolist() == [0, 1, 3]
 
 

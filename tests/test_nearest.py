@@ -1,9 +1,9 @@
 """The blocked nearest-member kernel against the per-member loop it replaced.
 
-min_sq_dists (hence cost) and ExactOracle.query_many must return exactly
-what one sq_dists_to_point pass per member returns: the same squared
-distances bit for bit, exact zeros for coincident rows, and the lowest
-member position on exact ties.
+min_sq_dists (hence cost), ExactOracle.query_many and query, and
+dist_to_set must return exactly what one sq_dists_to_point pass per member
+returns: the same squared distances bit for bit, exact zeros for coincident
+rows, and the lowest member position on exact ties.
 """
 
 from unittest import mock
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcover import core
-from kcover.core import Dataset, cost, min_sq_dists
+from kcover.core import Dataset, cost, dist_to_set, min_sq_dists
 from kcover.neighbor import ExactOracle
 
 from conftest import nearest_member_loop
@@ -66,8 +66,12 @@ def test_query_many_equals_per_member_loop(inst, cap):
     want_pos, want_d2 = nearest_member_loop(queries, oracle.members)
     with mock.patch.object(core, "_BLOCK_ELEMS", cap):
         idx, dists = oracle.query_many(queries)
+        singles = [oracle.query(q) for q in queries]
+        to_set = [dist_to_set(q, members, data) for q in queries]
     assert np.array_equal(idx, oracle.built_on[want_pos])
     assert np.array_equal(dists, np.sqrt(want_d2))
+    assert singles == list(zip(idx.tolist(), dists.tolist()))
+    assert to_set == list(zip(dists.tolist(), idx.tolist()))
 
 
 def test_coincident_rows_are_exactly_zero():
@@ -135,6 +139,24 @@ def test_large_offset_rechecks_few_members(monkeypatch):
     want_pos, want_d2 = nearest_member_loop(points, members)
     assert np.array_equal(pos, want_pos) and np.array_equal(d2, want_d2)
     assert sum(pairs) <= 0.1 * points.shape[0]
+
+
+def test_coincident_members_recheck_once(monkeypatch):
+    # 50 copies of one member: each row has one member to re-check, not 50
+    points = np.zeros((5000, 8))
+    members = np.zeros((50, 8))
+    pairs = []
+    exact_sq = core._exact_sq
+
+    def counting(pts, mem, rows, cols):
+        pairs.append(rows.size)
+        return exact_sq(pts, mem, rows, cols)
+
+    monkeypatch.setattr(core, "_exact_sq", counting)
+    pos, d2 = core._nearest_sq(points, members)
+    want_pos, want_d2 = nearest_member_loop(points, members)
+    assert np.array_equal(pos, want_pos) and np.array_equal(d2, want_d2)
+    assert sum(pairs) <= points.shape[0]
 
 
 def test_near_ties_resolved_on_exact_values():

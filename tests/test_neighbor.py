@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from kcover.core import Dataset
-from kcover.neighbor import ExactOracle, LshOracle, build_oracle, query_oracle
+from kcover.neighbor import ExactOracle, LshOracle, build_oracle
 
 
 def test_exact_member_query_is_zero():
     data = Dataset(np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]]))
     oracle = build_oracle(data, [0, 1, 2], kind="exact")
-    idx, d = query_oracle(oracle, data.row(1))
+    idx, d = oracle.query(data.row(1))
     assert (idx, d) == (1, 0.0)
 
 

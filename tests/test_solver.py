@@ -8,7 +8,6 @@ from kcover.solver import (
     gonzalez,
     merge_coverings,
     reduce_covering,
-    with_full_cost,
 )
 
 from conftest import covering_ok, exhaustive_discrete_opt, max_min_dist
@@ -112,12 +111,6 @@ def test_evaluate_rejects_bad_mapping():
     sol = gonzalez(data, 2)
     with pytest.raises(ValueError):
         evaluate_on_full(data, np.array([0]), sol)  # centers exceed coreset
-
-
-def test_with_full_cost():
-    data = Dataset(np.zeros((2, 1)))
-    sol = with_full_cost(gonzalez(data, 1), 3.5)
-    assert sol.cost_on_full_set == 3.5
 
 
 def halves(seed=0):
