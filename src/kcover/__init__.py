@@ -44,7 +44,7 @@ from .gridhash import (
     sample_hash,
     zero_shift_hash,
 )
-from .neighbor import ExactOracle, LshOracle, build_oracle
+from .neighbor import ExactOracle, build_oracle
 from .sampling import (
     SampleCoveringConfig,
     build_covering_sample,
@@ -73,7 +73,6 @@ __all__ = [
     "GridHash",
     "HashCoveringConfig",
     "JlMap",
-    "LshOracle",
     "REPORT_COLUMNS",
     "SampleCoveringConfig",
     "SyntheticSpec",

@@ -3,6 +3,8 @@
 Subcommands:
   synth     write a synthetic dataset to CSV
   coreset   build a covering / coreset of a CSV dataset, write indices as JSON
+            (hash, lowdim, sample or uniform; sample queries nearest
+            members exactly)
   solve     greedy k-center on a dataset (optionally restricted to a coreset)
   eval      cost of a stored solution on a dataset
   sweep     method x budget x trial comparison grid, CSV or JSON report
@@ -110,7 +112,7 @@ def _cmd_coreset(args) -> int:
     else:
         if args.method == "sample":
             result = build_covering_sample(data, SampleCoveringConfig(
-                k=k, beta=args.beta, oracle_kind=args.oracle, seed=args.seed))
+                k=k, beta=args.beta, seed=args.seed))
         else:
             if args.mode == "budget" and args.budget is None:
                 raise ValueError("--budget is required in budget mode")
@@ -172,7 +174,7 @@ def _cmd_sweep(args) -> int:
     reports = run_sweep(data, k=k, methods=methods, budgets=budgets,
                         trials=args.trials, seed=args.seed,
                         dataset_name=args.name, beta=args.beta,
-                        oracle_kind=args.oracle, jl_dim=args.jl_dim)
+                        jl_dim=args.jl_dim)
     text = emit_report(reports, fmt=args.format, path=args.output)
     if args.output is None:
         sys.stdout.write(text)
@@ -217,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("theory", "budget"), default="budget")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--threshold-factor", type=float, default=200.0)
-    p.add_argument("--oracle", choices=("exact", "lsh"), default="exact")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(fn=_cmd_coreset)
@@ -246,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list; plain sizes or multiples like 8k (default 1k..30k)")
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--oracle", choices=("exact", "lsh"), default="exact")
     p.add_argument("--jl-dim", type=int, default=None,
-                   help="override the projection dimension policy")
+                   help="projection dimension (default: jl_target_dim at eps 0.5; "
+                        "at most d)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="default: print to stdout")

@@ -23,6 +23,8 @@ Exact row dedup, of grid cells and of coordinates alike, is one routine,
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 MAX_SEED = 2**64
@@ -42,7 +44,6 @@ STREAM_JL = 2
 STREAM_PROJECT_1D = 3
 STREAM_UNIFORM_SAMPLE = 4
 STREAM_ROUND_SAMPLE = 5
-STREAM_LSH = 6
 STREAM_SYNTH = 7
 STREAM_SWEEP = 8
 STREAM_SCALE_FILTER = 9
@@ -151,6 +152,19 @@ def dist_to_set(point, subset, dataset: Dataset):
     return float(np.sqrt(d2[0])), int(rows[pos[0]])
 
 
+@functools.lru_cache(maxsize=64)
+def _mix_multipliers(width: int) -> np.ndarray:
+    """Read-only odd uint64 multipliers of row_keys, drawn once per width.
+
+    Random ones: structured multipliers (say, multiples of one constant)
+    make grid cells collide all the time.
+    """
+    mults = np.random.default_rng(_MIX_SEED).integers(
+        0, 2**63, size=width, dtype=np.int64).astype(np.uint64) | np.uint64(1)
+    mults.setflags(write=False)
+    return mults
+
+
 def row_keys(rows) -> np.ndarray:
     """64-bit linear mix of each row of a 2-D integer array.
 
@@ -159,15 +173,11 @@ def row_keys(rows) -> np.ndarray:
     rows.
     """
     u = np.asarray(rows, dtype=np.int64).view(np.uint64)
-    # random odd multipliers: structured ones (say, multiples of one
-    # constant) make grid cells collide all the time
-    mults = np.random.default_rng(_MIX_SEED).integers(
-        0, 2**63, size=u.shape[1], dtype=np.int64).astype(np.uint64) | np.uint64(1)
     # folding the high half onto the low half lets the mix see entries whose
     # low bits are all zero, such as the bit patterns of short floats; the
     # uint64 matmul wraps modulo 2**64 and runs several times faster than a
     # multiply and row sum
-    return (u ^ (u >> 32)) @ mults
+    return (u ^ (u >> 32)) @ _mix_multipliers(u.shape[1])
 
 
 def first_occurrences(rows) -> np.ndarray:

@@ -40,7 +40,7 @@ def build_jl_map(dim: int, n_points: int, eps: float, seed: int,
     """Sample a Gaussian projection map.
 
     target_dim normally comes from jl_target_dim; passing it explicitly
-    overrides the formula (used for per-dataset projection policies).
+    overrides the formula (run_sweep's jl_dim).
     """
     if target_dim is None:
         target_dim = jl_target_dim(dim, n_points, eps)

@@ -27,15 +27,6 @@ from .solver import evaluate_on_full, gonzalez
 DEFAULT_BUDGET_MULTIPLIERS = (1, 2, 4, 8, 16, 30)
 DEFAULT_JL_EPS = 0.5
 
-# fixed projection dimensions for datasets evaluated at these names; anything
-# else falls back to the accuracy formula
-NAMED_PROJECTION_DIMS = {
-    "kddcup": 30,
-    "covertype": 50,
-    "census": 60,
-    "fashionmnist": 100,
-}
-
 _METHODS = ("benchmark", "hash", "lowdim", "sample", "uniform")
 
 
@@ -84,19 +75,6 @@ _INT_COLUMNS = {"n", "d", "dPrime", "k", "budgetRequested", "coresetSizeActual",
 _STR_COLUMNS = {"datasetName", "method"}
 
 
-def _normalize_name(name: str) -> str:
-    return "".join(ch for ch in name.lower() if ch.isalnum())
-
-
-def projection_dim_for(name: str, n: int, d: int, eps: float = DEFAULT_JL_EPS) -> int:
-    """Projection dimension policy: fixed per recognized dataset name,
-    otherwise the distortion formula (capped at d)."""
-    fixed = NAMED_PROJECTION_DIMS.get(_normalize_name(name))
-    if fixed is not None:
-        return min(d, fixed)
-    return jl_target_dim(d, n, eps)
-
-
 def default_budgets(k: int, n: int) -> tuple[int, ...]:
     grid = sorted({min(m * k, n) for m in DEFAULT_BUDGET_MULTIPLIERS})
     return tuple(grid)
@@ -116,13 +94,14 @@ def _ratio(value: float, benchmark: float) -> float:
 def run_sweep(dataset: Dataset, k: int | None = None, methods=("hash", "uniform"),
               budgets=None, trials: int = 3, seed: int = 0,
               dataset_name: str = "dataset", beta: float = 2.0,
-              oracle_kind: str = "exact", jl_dim: int | None = None,
+              jl_dim: int | None = None,
               jl_eps: float = DEFAULT_JL_EPS) -> list[ExperimentReport]:
     """Run the grid and return reports sorted by (method, budget, trial).
 
-    The projection to the working dimension happens once, before any timer
-    starts; the full-data benchmark solves the projected data too, so build
-    and solve timings compare like for like.
+    The working dimension is jl_dim, or jl_target_dim(d, n, jl_eps) when it
+    is None, and at most d. The projection to it happens once, before any
+    timer starts; the full-data benchmark solves the projected data too, so
+    build and solve timings compare like for like.
     """
     methods = tuple(dict.fromkeys(methods))
     if not methods:
@@ -145,7 +124,7 @@ def run_sweep(dataset: Dataset, k: int | None = None, methods=("hash", "uniform"
     budgets = tuple(min(b, n) for b in budgets)
     budgets = tuple(sorted(set(budgets)))
 
-    d_prime = jl_dim if jl_dim is not None else projection_dim_for(dataset_name, n, dataset.d, jl_eps)
+    d_prime = jl_dim if jl_dim is not None else jl_target_dim(dataset.d, n, jl_eps)
     d_prime = min(d_prime, dataset.d)
     if d_prime < dataset.d:
         work = apply_jl(build_jl_map(dataset.d, n, jl_eps, seed, target_dim=d_prime), dataset)
@@ -171,8 +150,7 @@ def run_sweep(dataset: Dataset, k: int | None = None, methods=("hash", "uniform"
         for budget in budgets:
             for trial in range(trials):
                 rows.append(_run_cell(work, dataset, d_prime, k, method, budget,
-                                      trial, seed, dataset_name, beta, oracle_kind,
-                                      bench_cost))
+                                      trial, seed, dataset_name, beta, bench_cost))
 
     rows.sort(key=lambda r: (r.method, r.budget_requested, r.trial))
     return rows
@@ -180,7 +158,7 @@ def run_sweep(dataset: Dataset, k: int | None = None, methods=("hash", "uniform"
 
 def _run_cell(work: Dataset, original: Dataset, d_prime: int, k: int, method: str,
               budget: int, trial: int, seed: int, dataset_name: str, beta: float,
-              oracle_kind: str, benchmark_cost: float) -> ExperimentReport:
+              benchmark_cost: float) -> ExperimentReport:
     cell_seed = _cell_seed(seed, method, budget, trial)
     t0 = time.perf_counter()
     failed = False
@@ -196,8 +174,7 @@ def _run_cell(work: Dataset, original: Dataset, d_prime: int, k: int, method: st
         elif method == "uniform":
             subset = uniform_baseline(work, budget, cell_seed)
         elif method == "sample":
-            cfg = SampleCoveringConfig(k=k, beta=beta, oracle_kind=oracle_kind,
-                                       seed=cell_seed)
+            cfg = SampleCoveringConfig(k=k, beta=beta, seed=cell_seed)
             subset = build_covering_sample(work, cfg).subset
         else:  # pragma: no cover - guarded by run_sweep validation
             raise ValueError(f"unknown method {method!r}")

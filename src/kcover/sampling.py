@@ -1,14 +1,14 @@
 """Covering construction by repeated uniform sampling.
 
 At a candidate radius tau, each round draws a batch of uniform samples from
-the not-yet-covered pool, builds a nearest-member oracle on just that batch,
-and removes every pool point whose estimated distance to the batch is at
-most 2 * beta * tau. When tau is at least the true cost, a batch of
-Theta(k log n) samples halves the pool with constant probability, so a
-logarithmic number of rounds empties it; the union of all batches is then a
-covering with radius bound 2 * beta * tau. The rounds at one tau are the
-per-scale step of the shared sweep, covering.sweep_scales, which also
-handles duplicate-only data.
+the not-yet-covered pool, finds each pool point's exact distance to its
+nearest batch member (neighbor.ExactOracle, on the blocked kernel), and
+removes every pool point within 2 * beta * tau of the batch. When tau is at
+least the true cost, a batch of Theta(k log n) samples halves the pool with
+constant probability, so a logarithmic number of rounds empties it; the
+union of all batches is then a covering with radius bound 2 * beta * tau.
+The rounds at one tau are the per-scale step of the shared sweep,
+covering.sweep_scales, which also handles duplicate-only data.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ _ROUNDS_PER_LOG = 5
 @dataclass(frozen=True)
 class SampleCoveringConfig:
     k: int
-    beta: float = 2.0
+    beta: float = 2.0             # removal radius and radius bound = 2 * beta * tau
     sample_constant: float = 3.0  # samples per round = ceil(c * k * ln n)
-    oracle_kind: str = "exact"    # "exact" | "lsh"
     seed: int = 0
 
 
@@ -74,18 +73,11 @@ def run_sampling_rounds(dataset: Dataset, tau: float, cfg: SampleCoveringConfig,
         batch = sample_with_replacement(pool, m, cfg.seed, stream=(tau_index, j))
         batches.append(batch)
         total += batch.shape[0]
-        oracle = build_oracle(dataset, batch, kind=cfg.oracle_kind,
-                              beta=cfg.beta, seed=_oracle_seed(cfg.seed, tau_index, j))
-        _, dists = oracle.query_many(dataset.coords[pool])
+        _, dists = build_oracle(dataset, batch).query_many(dataset.coords[pool])
         pool = pool[dists > removal_radius]
         if pool.size == 0:
             return np.unique(np.concatenate(batches)), total
     return None, total
-
-
-def _oracle_seed(seed: int, tau_index: int, j: int) -> int:
-    # distinct deterministic 64-bit seed per (tau, round)
-    return int(rng_stream(seed, STREAM_ROUND_SAMPLE, tau_index, j, 1).integers(0, 2**63))
 
 
 def build_covering_sample(dataset: Dataset, cfg: SampleCoveringConfig) -> CoveringResult:

@@ -100,7 +100,7 @@ def test_c03_covering_soundness_both_constructions():
             cov = build_covering_hash(data, cfg)
         else:
             cov = build_covering_sample(
-                data, SampleCoveringConfig(k=k, oracle_kind="exact", seed=i))
+                data, SampleCoveringConfig(k=k, seed=i))
         if not covering_ok(data.coords, cov.subset, cov.radius_bound):
             violations += 1
     elapsed = time.perf_counter() - t0
@@ -144,8 +144,7 @@ def test_c05_sampling_rounds_terminate():
         k = int(rng.integers(2, 9))
         data = mixture(n, d, k, seed=t)
         tau = gonzalez(data, k).cost_on_solve_set
-        cfg = SampleCoveringConfig(k=k, beta=2.0, sample_constant=3.0,
-                                   oracle_kind="exact", seed=t)
+        cfg = SampleCoveringConfig(k=k, beta=2.0, sample_constant=3.0, seed=t)
         subset, _ = run_sampling_rounds(data, tau, cfg)
         if subset is None:
             failures += 1
@@ -195,7 +194,7 @@ def test_c07_end_to_end_bound():
             cov = build_covering_hash(data, cfg)
         else:
             cov = build_covering_sample(
-                data, SampleCoveringConfig(k=k, oracle_kind="exact", seed=t))
+                data, SampleCoveringConfig(k=k, seed=t))
         sol = gonzalez(data.take(cov.subset), k)
         value = evaluate_on_full(data, cov.subset, sol)
         runs += 1

@@ -17,7 +17,6 @@ from kcover.experiment import (
     ExperimentReport,
     default_budgets,
     emit_report,
-    projection_dim_for,
     read_report_csv,
     run_sweep,
 )
@@ -33,24 +32,18 @@ def planted(n=400, d=3, k=4, seed=0):
 # --- projection and budget policy ---------------------------------------
 
 
-@pytest.mark.parametrize("name,d,want", [
-    ("kddcup", 74, 30),
-    ("covertype", 54, 50),
-    ("census", 68, 60),
-    ("fashionmnist", 784, 100),
-    ("Fashion-MNIST", 784, 100),  # punctuation/case-insensitive lookup
-])
-def test_projection_dim_named(name, d, want):
-    assert projection_dim_for(name, 100_000, d) == want
-
-
 def test_projection_dim_formula_fallback():
-    assert projection_dim_for("other", 70_000, 784) == jl_target_dim(784, 70_000, 0.5)
-    assert projection_dim_for("other", 10, 3) == 3  # never above d
-
-
-def test_projection_dim_named_capped_at_d():
-    assert projection_dim_for("fashionmnist", 1000, 40) == 40
+    # without jl_dim the working dimension is the distortion formula, also
+    # for names of well-known datasets, and never above d
+    rng = np.random.default_rng(4)
+    wide = Dataset(rng.normal(size=(100, 200)))
+    for name in ("other", "fashionmnist"):
+        rows = run_sweep(wide, k=2, methods=("uniform",), budgets=(10,), trials=1,
+                         dataset_name=name)
+        assert rows[0].d_prime == jl_target_dim(200, 100, 0.5) < 200
+    narrow = Dataset(rng.normal(size=(10, 3)))
+    rows = run_sweep(narrow, k=2, methods=("uniform",), budgets=(5,), trials=1)
+    assert rows[0].d_prime == 3
 
 
 def test_default_budgets():

@@ -10,6 +10,8 @@ from kcover.core import ConstructionFailedError, Dataset
 from kcover.covering import HashCoveringConfig, build_covering_hash, low_dim_baseline
 from kcover.sampling import SampleCoveringConfig, build_covering_sample
 
+from conftest import covering_ok
+
 
 def instances():
     rng = np.random.default_rng(404)
@@ -94,3 +96,37 @@ def test_sample_failure_carries_sizes(monkeypatch):
     with pytest.raises(ConstructionFailedError) as info:
         build_covering_sample(data, SampleCoveringConfig(k=2, seed=0))
     assert info.value.sizes == (7,) * (math.ceil(math.log2(50**2)) + 1)
+
+
+def edge_instance(name, seed):
+    """(data, k) for the edge cases: d = 1, k = n, and large coordinate offsets."""
+    rng = np.random.default_rng(seed)
+    if name == "d1":
+        return Dataset(rng.normal(scale=10.0, size=(300, 1))), 4
+    if name == "k-equals-n":
+        return Dataset(rng.normal(size=(40, 2))), 40
+    return Dataset(1e8 + rng.normal(size=(300, 3))), 4
+
+
+EDGE_BUILDS = {
+    "hash-budget": lambda data, k, seed: build_covering_hash(
+        data, HashCoveringConfig(k=k, mode="budget", budget=min(data.n, 8 * k), seed=seed)),
+    "lowdim": lambda data, k, seed: low_dim_baseline(
+        data, HashCoveringConfig(k=k, mode="budget", budget=min(data.n, 8 * k), seed=seed)),
+    # a lower threshold and sparser rounds than the defaults, at which both
+    # keep every row at the first scale on these sizes (ROADMAP item 1)
+    "hash-theory": lambda data, k, seed: build_covering_hash(
+        data, HashCoveringConfig(k=k, mode="theory", threshold_factor=0.5, seed=seed)),
+    "sample": lambda data, k, seed: build_covering_sample(
+        data, SampleCoveringConfig(k=k, sample_constant=0.1, seed=seed)),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("method", sorted(EDGE_BUILDS))
+@pytest.mark.parametrize("instance", ["d1", "k-equals-n", "offset-1e8"])
+def test_edge_case_coverings_sound(instance, method, seed):
+    data, k = edge_instance(instance, seed)
+    result = EDGE_BUILDS[method](data, k, seed)
+    assert covering_ok(data.coords, result.subset, result.radius_bound)
+    assert result.size <= data.n
