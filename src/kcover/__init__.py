@@ -7,7 +7,6 @@ solver, and carry the covering radius as additive slack back to the full
 set. An experiment harness compares the pipelines against full-data solving.
 """
 
-from .coarse import CoarseEstimate, coarse_approx, feasible_1d, kcenter_1d
 from .core import (
     ConstructionFailedError,
     Dataset,
@@ -27,7 +26,7 @@ from .covering import (
     uniform_baseline,
 )
 from .datasets import CsvFormatError, SyntheticSpec, generate_synthetic, load_csv
-from .dimred import JlMap, apply_jl, build_jl_map, jl_target_dim, project_1d
+from .dimred import JlMap, apply_jl, build_jl_map, jl_target_dim
 from .experiment import (
     ExperimentReport,
     REPORT_COLUMNS,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CenterSolution",
-    "CoarseEstimate",
     "ConstructionFailedError",
     "CoveringResult",
     "CsvFormatError",
@@ -82,7 +80,6 @@ __all__ = [
     "build_covering_sample",
     "build_jl_map",
     "build_oracle",
-    "coarse_approx",
     "cost",
     "count_cells_intersecting_ball",
     "dist",
@@ -91,16 +88,13 @@ __all__ = [
     "eval_hash",
     "eval_hash_batch",
     "evaluate_on_full",
-    "feasible_1d",
     "generate_synthetic",
     "gonzalez",
     "index_subset",
     "jl_target_dim",
-    "kcenter_1d",
     "load_csv",
     "low_dim_baseline",
     "merge_coverings",
-    "project_1d",
     "read_report_csv",
     "reduce_covering",
     "representatives",

@@ -8,7 +8,6 @@ Subcommands:
   solve     greedy k-center on a dataset (optionally restricted to a coreset)
   eval      cost of a stored solution on a dataset
   sweep     method x budget x trial comparison grid, CSV or JSON report
-  selftest  quick invariant checks
 
 Exit codes: 0 ok, 2 invalid arguments, 3 construction failed, 4 I/O error.
 """
@@ -32,7 +31,6 @@ from .covering import (
 from .datasets import SyntheticSpec, generate_synthetic, load_csv
 from .experiment import emit_report, run_sweep
 from .sampling import SampleCoveringConfig, build_covering_sample
-from .selftest import run_selftest
 from .solver import evaluate_on_full, gonzalez
 
 EXIT_OK = 0
@@ -183,10 +181,6 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_selftest(args) -> int:
-    return EXIT_OK if run_selftest(seed=args.seed) else 1
-
-
 def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -254,10 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="default: print to stdout")
     p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser("selftest", help="run quick invariant checks")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_selftest)
 
     return parser
 

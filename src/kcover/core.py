@@ -41,12 +41,12 @@ _MIX_SEED = 0x6B636F766572
 # and no two operations share a stream.
 STREAM_GRID_SHIFT = 1
 STREAM_JL = 2
-STREAM_PROJECT_1D = 3
 STREAM_UNIFORM_SAMPLE = 4
 STREAM_ROUND_SAMPLE = 5
 STREAM_SYNTH = 7
 STREAM_SWEEP = 8
 STREAM_SCALE_FILTER = 9
+STREAM_ANCHOR = 10
 
 
 class ConstructionFailedError(Exception):

@@ -5,14 +5,17 @@ every point of the dataset is within rho of some member of S. Solving the
 k-center problem on S and keeping the returned radius bound as additive
 slack turns any approximation on S into one on the full set.
 
-Every construction runs one scale sweep, sweep_scales: it anchors on a
-coarse cost estimate, collapses exact duplicates when the estimate is 0,
-and then tries a geometric grid of scales tau, calling the construction's
-per-scale step until one accepts. The sampling construction
+Every construction runs one scale sweep, sweep_scales. It anchors on a
+certified lower bound L on the optimal cost: greedy on a uniform row
+sample, halved. It collapses exact duplicates when L is 0, and otherwise
+calls the construction's per-scale step on scales tau found from L: the
+theory and sample modes double tau from L until a step accepts, and
+budget mode searches both ways from L for the smallest scale that fits,
+closing with geometric bisection. The sampling construction
 (kcover.sampling) plugs its rounds in as a step. The grid-hash step hashes
 the points into a randomly shifted grid (unshifted for low_dim_baseline)
-and keeps one representative per occupied cell; it accepts the first scale
-whose cell count fits under a threshold:
+and keeps one representative per occupied cell; a scale fits when its
+cell count is at most a threshold:
 
   theory mode  caps the count at threshold_factor * k * t_beta(d, beta)
                with the grid at scale beta * tau, so the radius bound is
@@ -30,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coarse import coarse_approx
 from .core import (
+    STREAM_ANCHOR,
     STREAM_SCALE_FILTER,
     STREAM_UNIFORM_SAMPLE,
     ConstructionFailedError,
@@ -42,10 +45,20 @@ from .core import (
 )
 from .gridhash import eval_hash_batch, sample_hash, zero_shift_hash
 
-# extra doublings granted in budget mode past the nominal sweep, plus the
-# number of retries at very large scales; termination there only needs one
-# shift that puts the whole spread inside a single cell
+# extra doublings granted in budget mode past the scale at which one cell
+# can hold the whole spread; termination there only needs one shift that
+# puts the whole spread inside a single cell
 _BUDGET_EXTRA_DOUBLINGS = 64
+# bisection steps after the budget-mode search brackets the fitting scale,
+# which leaves tau within 2**(1/4) of the smallest fitting one. With one step
+# (within sqrt(2)), 3 of 48 covering seeds at desk scale, budget 8k, cost
+# about 6x the full greedy; with two, none did.
+_BISECTIONS = 2
+# the anchor's greedy runs on a sample of at least this many rows (and 4k)
+_ANCHOR_ROWS = 1000
+# budget-mode halving stops once the scale is this fraction of the largest
+# coordinate magnitude (times sqrt(d)), so cell indices stay below 2**40
+_MIN_RELATIVE_SCALE = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -112,57 +125,115 @@ def representatives(cells, dataset: Dataset) -> np.ndarray:
     return first_occurrences(arr)
 
 
-def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float,
-                 threshold: float = math.inf, reach_spread: bool = False) -> CoveringResult:
-    """Geometric scale sweep shared by every covering construction.
+def scale_anchor(dataset: Dataset, k: int, seed: int) -> float:
+    """Certified lower bound on the optimal k-center cost of the dataset.
 
-    Anchors on the coarse estimate apx with slack gamma = n**2 and tries
-    tau = (apx / gamma) * 2**i for i = 0, 1, ... until step(i, tau), which
-    returns (size, subset or None), accepts a scale; the covering's radius
-    bound is radius_factor * tau. Every step's size goes into sizes.
-
-    When the estimate is 0 (at most k distinct rows), the exact-duplicate
-    collapse is tried first and kept, at radius 0, if its size is at most
-    threshold. reach_spread extends the sweep until one grid cell can hold
-    the whole spread, plus _BUDGET_EXTRA_DOUBLINGS scales.
+    Greedy on a uniform sample S of min(n, max(_ANCHOR_ROWS, 4k)) rows is a
+    2-approximation on S, and covering S never costs more than covering the
+    whole dataset, so gonzalez(S) / 2 <= opt(S) <= opt. It is 0 exactly when
+    S holds at most k distinct rows.
     """
-    est = coarse_approx(dataset, k, seed)
-    apx, gamma = est.apx, est.gamma
+    from .solver import gonzalez  # solver imports CoveringResult from here
+
+    n = dataset.n
+    rows = min(n, max(_ANCHOR_ROWS, 4 * k))
+    if rows < n:
+        picks = rng_stream(seed, STREAM_ANCHOR).choice(n, size=rows, replace=False)
+        dataset = dataset.take(np.sort(picks))
+    return gonzalez(dataset, k).cost_on_solve_set / 2.0
+
+
+def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float,
+                 threshold: float = math.inf, budget_mode: bool = False) -> CoveringResult:
+    """Scale search shared by every covering construction.
+
+    step(i, tau) tries the i-th scale and returns (size, subset or None); a
+    subset means the scale is accepted, with radius bound radius_factor * tau.
+    Every tried scale's size goes into sizes, and iterations counts them.
+
+    The search starts from the certified anchor L = scale_anchor. When L is 0
+    (the anchor sample holds at most k distinct rows), the exact-duplicate
+    collapse is tried first and kept, at radius 0, if its size is at most
+    threshold; otherwise the anchor is taken on the distinct rows.
+
+    Without budget_mode (theory and sample), tau doubles from L, never below
+    it, until a scale accepts or the radius bound reaches the bounding-box
+    diagonal. In budget_mode, where threshold is the budget, tau starts at
+    L * min(1, k / threshold) and doubles until a scale fits, up to
+    _BUDGET_EXTRA_DOUBLINGS past the scale at which one grid cell can hold
+    the whole spread; if the first scale fits, tau halves until one does not
+    instead. Then _BISECTIONS geometric bisection steps between the last
+    scale that did not fit and the first that did keep each midpoint that
+    fits.
+    """
     coords = dataset.coords
-    spread = float((coords.max(axis=0) - coords.min(axis=0)).max())
+    extent = coords.max(axis=0) - coords.min(axis=0)
+    spread = float(extent.max())
     sizes: list[int] = []
 
-    if apx == 0.0:
+    def attempt(tau: float):
+        size, subset = step(len(sizes), tau)
+        sizes.append(size)
+        return subset
+
+    def accepted(subset, tau: float) -> CoveringResult:
+        return CoveringResult(subset=subset, radius_bound=radius_factor * tau,
+                              tau_used=float(tau), iterations=len(sizes),
+                              sizes=tuple(sizes))
+
+    anchor = scale_anchor(dataset, k, seed)
+    if anchor == 0.0:
         reps = first_occurrences(coords)
         sizes.append(reps.shape[0])
         if reps.shape[0] <= threshold:
-            return CoveringResult(subset=reps, radius_bound=0.0, tau_used=0.0,
-                                  iterations=1, sizes=tuple(sizes))
+            return accepted(reps, 0.0)
         if spread == 0.0:
             # a single distinct row already exceeded the threshold
             raise ConstructionFailedError(
                 f"threshold {threshold:g} admits no nonempty subset", sizes=sizes)
-        apx = spread
+        # with at most k distinct rows the optimum is 0 and any scale is above it
+        anchor = scale_anchor(dataset.take(reps), k, seed) or spread
 
-    n_iters = math.ceil(math.log2(gamma))
-    if reach_spread:
-        # keep doubling until one cell can hold the whole spread; a handful of
-        # fresh shifts at that scale succeeds with overwhelming probability
-        if spread > 0:
-            need = 2.0 * dataset.d ** 1.5 * spread / (apx / gamma)
-            n_iters = max(n_iters, math.ceil(math.log2(max(need, 1.0))))
-        n_iters += _BUDGET_EXTRA_DOUBLINGS
+    if budget_mode:
+        tau = anchor * min(1.0, k / threshold)
+        # one cell can hold the whole spread from scale 2 d**1.5 spread on,
+        # and a few fresh shifts past it succeed with overwhelming probability
+        top = 2.0 * dataset.d ** 1.5 * spread * 2.0**_BUDGET_EXTRA_DOUBLINGS
+    else:
+        tau = anchor
+        # where the radius bound reaches the bounding-box diagonal
+        top = float(np.sqrt((extent**2).sum())) / radius_factor
+    lo = None
+    best = attempt(tau)
+    while best is None:
+        if tau >= top:
+            raise ConstructionFailedError(f"no scale up to {top:g} fit", sizes=sizes)
+        lo, tau = tau, 2.0 * tau
+        best = attempt(tau)
+    if not budget_mode:
+        return accepted(best, tau)
+    if lo is None:
+        # the first scale fit: halve until one does not; below floor, cell
+        # indices outgrow float resolution and int64
+        floor = _MIN_RELATIVE_SCALE * math.sqrt(dataset.d) * float(np.abs(coords).max())
+        while True:
+            lo = tau / 2.0
+            if lo < floor:
+                return accepted(best, tau)
+            subset = attempt(lo)
+            if subset is None:
+                break
+            tau, best = lo, subset
 
-    for i in range(n_iters + 1):
-        tau = (apx / gamma) * float(2**i)
-        size, subset = step(i, tau)
-        sizes.append(size)
-        if subset is not None:
-            return CoveringResult(subset=subset, radius_bound=radius_factor * tau,
-                                  tau_used=float(tau), iterations=i + 1,
-                                  sizes=tuple(sizes))
-    raise ConstructionFailedError(
-        f"no scale fit within {n_iters + 1} doublings", sizes=sizes)
+    hi = tau
+    for _ in range(_BISECTIONS):
+        mid = math.sqrt(lo * hi)
+        subset = attempt(mid)
+        if subset is None:
+            lo = mid
+        else:
+            hi, best = mid, subset
+    return accepted(best, hi)
 
 
 def _sweep_hash(dataset: Dataset, cfg: HashCoveringConfig, shifted: bool) -> CoveringResult:
@@ -185,8 +256,10 @@ def _sweep_hash(dataset: Dataset, cfg: HashCoveringConfig, shifted: bool) -> Cov
         factor = cfg.beta
 
     # fixed row subsample lets hopeless scales be rejected cheaply: its
-    # distinct-key count never exceeds the full distinct-cell count
-    sample_cap = int(min(n, threshold + 2048)) if math.isfinite(threshold) else n
+    # distinct-key count never exceeds the full distinct-cell count. Twice
+    # the threshold catches most scales a few times over it, where the
+    # bisection steps land, before they cost a full pass.
+    sample_cap = int(min(n, 2 * threshold + 2048)) if math.isfinite(threshold) else n
     filter_coords = None
     if sample_cap < n:
         filter_rows = rng_stream(cfg.seed, STREAM_SCALE_FILTER).choice(
@@ -205,7 +278,7 @@ def _sweep_hash(dataset: Dataset, cfg: HashCoveringConfig, shifted: bool) -> Cov
         return reps.shape[0], (reps if reps.shape[0] <= threshold else None)
 
     return sweep_scales(dataset, cfg.k, cfg.seed, step, factor, threshold,
-                        reach_spread=cfg.mode == "budget")
+                        budget_mode=cfg.mode == "budget")
 
 
 def build_covering_hash(dataset: Dataset, cfg: HashCoveringConfig) -> CoveringResult:

@@ -1,5 +1,4 @@
-"""Gaussian random projections: full maps for dimensionality reduction and
-single-direction projections used by the coarse estimator."""
+"""Gaussian random projections for dimensionality reduction."""
 
 from __future__ import annotations
 
@@ -8,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STREAM_JL, STREAM_PROJECT_1D, Dataset, rng_stream
+from .core import STREAM_JL, Dataset, rng_stream
 
 
 @dataclass(frozen=True)
@@ -58,11 +57,3 @@ def apply_jl(m: JlMap, dataset: Dataset) -> Dataset:
     if dataset.d != m.source_dim:
         raise ValueError("dataset dimension does not match the map")
     return Dataset(dataset.coords @ m.matrix.T)
-
-
-def project_1d(dataset: Dataset, seed: int, stream: int = 0) -> np.ndarray:
-    """Inner products with one Gaussian direction; `stream` separates
-    repeated draws under the same seed."""
-    rng = rng_stream(seed, STREAM_PROJECT_1D, stream)
-    v = rng.standard_normal(dataset.d)
-    return dataset.coords @ v

@@ -10,6 +10,7 @@ from itertools import combinations
 import numpy as np
 
 from kcover.core import sq_dists_to_point
+from kcover.covering import scale_anchor
 
 
 def pairwise_dists(coords: np.ndarray) -> np.ndarray:
@@ -65,22 +66,13 @@ def exhaustive_discrete_opt(coords: np.ndarray, k: int) -> float:
     return min(max_min_dist(coords, c) for c in combinations(range(n), k))
 
 
-def opt_1d(values: np.ndarray, k: int) -> float:
-    """Exact 1-D k-interval cover radius by enumerating all partitions.
-
-    A 1-D optimum splits the sorted distinct values into k consecutive
-    blocks; each block costs half its span.
-    """
-    vals = np.unique(np.asarray(values, dtype=np.float64))
-    m = vals.shape[0]
-    if m <= k:
-        return 0.0
-    best = np.inf
-    # choose k-1 cut positions between consecutive values
-    for cuts in combinations(range(1, m), k - 1):
-        bounds = (0, *cuts, m)
-        radius = max(
-            (vals[b1 - 1] - vals[b0]) / 2.0 for b0, b1 in zip(bounds, bounds[1:])
-        )
-        best = min(best, radius)
-    return float(best)
+def ascending_scales(dataset, k: int, seed: int, radius_factor: float) -> int:
+    """Scales an ascending sweep tries before it gives up: tau doubles from
+    the anchor until the radius bound radius_factor * tau reaches the data's
+    bounding-box diagonal, and that last scale is tried too."""
+    extent = dataset.coords.max(axis=0) - dataset.coords.min(axis=0)
+    diagonal = float(np.sqrt((extent**2).sum()))
+    tau, scales = scale_anchor(dataset, k, seed), 1
+    while tau < diagonal / radius_factor:
+        tau, scales = 2.0 * tau, scales + 1
+    return scales

@@ -215,22 +215,21 @@ def desk_sweep():
                          cluster_std=1.0, separation=10.0, seed=20)
     data, _ = generate_synthetic(spec)
     rows = run_sweep(data, k=k, methods=("benchmark", "hash"),
-                     budgets=(8 * k, 30 * k), trials=1, seed=0,
+                     budgets=(8 * k, 30 * k), trials=8, seed=0,
                      dataset_name="desk-scale")
     return rows, k, time.perf_counter() - t0
 
 
 def test_c08_quality_at_desk_scale(desk_sweep):
+    # every covering trial must hold, not one lucky seed
     rows, k, elapsed = desk_sweep
-    by_budget = {r.budget_requested: r for r in rows if r.method == "hash"}
-    r8, r30 = by_budget[8 * k], by_budget[30 * k]
-    ok = (r8.cost_ratio_vs_benchmark <= 2.0
-          and r30.cost_ratio_vs_benchmark <= 1.5
-          and elapsed < 600.0)
+    worst = {b: max(r.cost_ratio_vs_benchmark for r in rows
+                    if r.method == "hash" and r.budget_requested == b)
+             for b in (8 * k, 30 * k)}
+    ok = worst[8 * k] <= 2.0 and worst[30 * k] <= 1.5 and elapsed < 600.0
     report("desk-scale quality", ok,
-           f"ratio {r8.cost_ratio_vs_benchmark:.3f} at 8k (<= 2.0), "
-           f"{r30.cost_ratio_vs_benchmark:.3f} at 30k (<= 1.5), "
-           f"{elapsed:.1f}s (< 600s)")
+           f"worst ratio over 8 trials {worst[8 * k]:.3f} at 8k (<= 2.0), "
+           f"{worst[30 * k]:.3f} at 30k (<= 1.5), {elapsed:.1f}s (< 600s)")
 
 
 def test_c09_speedup_at_desk_scale(desk_sweep):

@@ -136,14 +136,16 @@ def test_budget_respected_on_random_instances():
 
 
 def test_sweep_bookkeeping_without_filter():
-    # n below the filter cutoff: every recorded size is an exact cell count,
-    # the sweep stops at the first one under the budget
+    # n below the filter cutoff: every recorded size is an exact cell count;
+    # the search brackets the fitting scale, and its last step, the
+    # bisection, is kept exactly when it fits the budget
     data = four_cluster_instance(n=120, seed=9)
     cfg = HashCoveringConfig(k=4, mode="budget", budget=10, seed=11)
     result = build_covering_hash(data, cfg)
     assert len(result.sizes) == result.iterations
-    assert all(s > 10 for s in result.sizes[:-1])
-    assert result.sizes[-1] == result.size <= 10
+    assert result.size <= 10 and result.size in result.sizes
+    assert any(s > 10 for s in result.sizes)
+    assert (result.sizes[-1] == result.size) == (result.sizes[-1] <= 10)
 
 
 def test_scale_filter_path_is_consistent():
@@ -155,8 +157,8 @@ def test_scale_filter_path_is_consistent():
     result = build_covering_hash(data, cfg)
     assert result.size <= 64
     assert covering_ok(data.coords, result.subset, result.radius_bound)
-    assert all(s > 64 for s in result.sizes[:-1])
-    assert result.sizes[-1] == result.size
+    assert any(s > 64 for s in result.sizes)
+    assert (result.sizes[-1] == result.size) == (result.sizes[-1] <= 64)
 
 
 def test_theory_mode_failure_carries_sizes():

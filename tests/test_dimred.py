@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kcover.core import Dataset
-from kcover.dimred import apply_jl, build_jl_map, jl_target_dim, project_1d
+from kcover.dimred import apply_jl, build_jl_map, jl_target_dim
 
 from conftest import pairwise_dists
 
@@ -89,25 +89,3 @@ def test_distortion_statistics():
         ratio = got / ref
         bad_fraction.append(np.mean((ratio < 1 - eps) | (ratio > 1 + eps)))
     assert np.mean(bad_fraction) <= 0.01
-
-
-def test_project_1d_linearity_cases():
-    zeros = project_1d(Dataset(np.zeros((4, 3))), seed=0)
-    np.testing.assert_array_equal(zeros, np.zeros(4))
-
-    row = np.array([1.5, -2.0])
-    dup = project_1d(Dataset(np.vstack([row, row])), seed=1)
-    assert dup[0] == dup[1]
-
-    e1 = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    out = project_1d(Dataset(e1), seed=2)
-    assert out[1] == pytest.approx(2.0 * out[0], rel=1e-12)
-
-
-def test_project_1d_streams_are_independent():
-    data = Dataset(np.random.default_rng(0).normal(size=(10, 4)))
-    a = project_1d(data, seed=7, stream=0)
-    b = project_1d(data, seed=7, stream=0)
-    c = project_1d(data, seed=7, stream=1)
-    np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, c)

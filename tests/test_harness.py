@@ -328,11 +328,6 @@ def test_cli_sweep_stdout_json(tmp_path, capsys):
     assert len(records) == 1 and records[0]["method"] == "uniform"
 
 
-def test_cli_selftest(capsys):
-    assert main(["selftest", "--seed", "0"]) == 0
-    assert "all suites passed" in capsys.readouterr().out
-
-
 def test_cli_usage_errors(tmp_path, capsys):
     data_path = synth_csv(tmp_path, n=40, k=2, seed=6)
     # budget mode without a budget
@@ -351,7 +346,7 @@ def test_cli_usage_errors(tmp_path, capsys):
 
 def test_cli_argparse_rejects_unknown_flag(capsys):
     with pytest.raises(SystemExit) as err:
-        main(["selftest", "--bogus"])
+        main(["sweep", "--input", "points.csv", "--bogus"])
     assert err.value.code == EXIT_USAGE
     capsys.readouterr()
 

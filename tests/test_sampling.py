@@ -12,7 +12,7 @@ from kcover.sampling import (
 )
 from kcover.solver import gonzalez
 
-from conftest import covering_ok
+from conftest import ascending_scales, covering_ok
 
 
 def planted_clusters(n, k, d=2, spread=1.0, separation=100.0, seed=0):
@@ -112,8 +112,8 @@ def test_subset_size_loop_accounting():
     data = planted_clusters(n=500, k=3, seed=9)
     cfg = SampleCoveringConfig(k=3, seed=1)
     result = build_covering_sample(data, cfg)
-    gamma = 500.0**2
-    bound = (math.ceil(math.log2(gamma)) + 1) * round_budget(500) * batch_size(500, 3)
+    scales = ascending_scales(data, 3, 1, 2.0 * cfg.beta)
+    bound = scales * round_budget(500) * batch_size(500, 3)
     assert result.size <= bound
 
 

@@ -4,13 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kcover import sampling
+from kcover import covering, sampling
 from kcover.core import ConstructionFailedError, Dataset
-from kcover.covering import HashCoveringConfig, build_covering_hash, low_dim_baseline
+from kcover.covering import (
+    HashCoveringConfig,
+    build_covering_hash,
+    low_dim_baseline,
+    scale_anchor,
+    sweep_scales,
+)
 from kcover.sampling import SampleCoveringConfig, build_covering_sample
 
-from conftest import covering_ok
+from conftest import ascending_scales, covering_ok, exhaustive_discrete_opt
 
 
 def instances():
@@ -28,38 +36,37 @@ BUILDS = {
         data, HashCoveringConfig(k=4, mode="theory", threshold_factor=0.05, seed=7)),
     "lowdim": lambda data: low_dim_baseline(
         data, HashCoveringConfig(k=4, mode="budget", budget=10, seed=7)),
-    # few draws per round, so low scales fail and the sweep climbs
     "sample": lambda data: build_covering_sample(
         data, SampleCoveringConfig(k=2, sample_constant=0.1, seed=7)),
 }
 
-# (subset, radius_bound, tau_used, iterations, sizes), recorded before the
-# hash and sample sweeps were merged into one function
+# (subset, radius_bound, tau_used, iterations, sizes), recorded when the
+# sweep moved to the certified anchor (coverings changed then on purpose)
 PINNED = {
     ("clusters", "hash-budget"): (
-        [0, 1, 2, 3, 4, 10, 24, 35], 6.921707210560369, 6.921707210560369, 13,
-        (40, 40, 40, 40, 40, 40, 40, 39, 39, 36, 25, 14, 8)),
+        [0, 1, 2, 3, 4, 5, 7, 18, 21, 25],
+        6.0118196360582825, 6.0118196360582825, 6, (33, 24, 16, 7, 13, 10)),
     ("clusters", "hash-theory"): (
-        [0, 1, 2, 3, 4, 6, 12, 18, 27, 29], 6.921707210560369, 3.4608536052801844, 12,
-        (40, 40, 40, 40, 40, 40, 40, 37, 33, 20, 15, 10)),
+        [0, 1, 2, 3, 5, 10, 27, 35, 39],
+        8.936623356641972, 4.468311678320986, 2, (14, 9)),
     ("clusters", "lowdim"): (
-        [0, 1, 2, 3, 4, 5, 6, 8, 20], 55.37365768448295, 55.37365768448295, 16,
-        (40, 40, 40, 40, 40, 40, 40, 40, 38, 35, 22, 15, 14, 14, 14, 9)),
+        [0, 1, 2, 3, 4, 5, 6, 8, 20],
+        34.00798745541803, 34.00798745541803, 9, (35, 22, 18, 16, 16, 16, 9, 9, 9)),
     ("clusters", "sample"): (
-        [0, 1, 2, 3, 4, 6, 7, 9, 10, 11, 12, 13, 14, 18, 19, 20, 21, 22, 24, 26, 27,
-         28, 29, 30, 31, 32, 33, 35, 37, 39],
-        0.532243499716086, 0.1330608749290215, 5, (30, 30, 30, 30, 30)),
+        [39],
+        84.0889480280295, 21.022237007007377, 1, (1,)),
     ("box", "hash-budget"): (
-        [0, 2, 6, 23], 17.260441591135887, 17.260441591135887, 14,
-        (36, 36, 36, 36, 36, 36, 36, 36, 36, 36, 36, 23, 11, 4)),
+        [0, 1, 2, 3, 7, 18, 24, 28],
+        11.025482360843949, 11.025482360843949, 7, (36, 34, 23, 11, 8, 7, 8)),
     ("box", "hash-theory"): (
-        list(range(36)), 0.00421397499783591, 0.002106987498917955, 1, (36,)),
+        [0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 15, 16, 18, 19, 20, 21, 24, 26, 28, 34, 35],
+        5.794555371047961, 2.8972776855239806, 1, (21,)),
     ("box", "lowdim"): (
-        [0, 1, 2, 3, 4, 10, 17, 21], 8.630220795567944, 8.630220795567944, 13,
-        (36, 36, 36, 36, 36, 36, 36, 36, 36, 36, 35, 24, 8)),
+        [0, 1, 2, 3, 4, 10, 17, 21],
+        9.271288593676738, 9.271288593676738, 6, (36, 36, 24, 8, 16, 13)),
     ("box", "sample"): (
-        [3, 7, 14, 16, 17, 18, 22, 24, 25, 28, 29, 32, 33, 34, 35],
-        2.386316728270151, 0.5965791820675378, 8, (30, 30, 30, 30, 30, 30, 30, 15)),
+        [35],
+        12.547238069469616, 3.136809517367404, 1, (1,)),
 }
 
 
@@ -89,22 +96,103 @@ def test_duplicate_rows_collapse_to_lowest_index(method):
     assert result.iterations == 1 and result.sizes == (3,)
 
 
+@pytest.mark.parametrize("build", [build_covering_hash, low_dim_baseline])
+def test_budget_below_the_distinct_rows_of_a_zero_cost_instance(build):
+    # 3 distinct rows and k = 3: the optimum is 0, but the collapse does not
+    # fit the budget of 2, so the search starts from the spread instead
+    data = Dataset([[0.0, 0.0], [0.0, 0.0], [4.0, 0.0], [4.0, 3.0]])
+    result = build(data, HashCoveringConfig(k=3, mode="budget", budget=2, seed=0))
+    assert result.size <= 2 and result.sizes[0] == 3
+    assert covering_ok(data.coords, result.subset, result.radius_bound)
+
+
 def test_sample_failure_carries_sizes(monkeypatch):
     monkeypatch.setattr(sampling, "run_sampling_rounds",
                         lambda dataset, tau, cfg, tau_index=0: (None, 7))
     data = Dataset(np.random.default_rng(2).normal(size=(50, 2)))
     with pytest.raises(ConstructionFailedError) as info:
         build_covering_sample(data, SampleCoveringConfig(k=2, seed=0))
-    assert info.value.sizes == (7,) * (math.ceil(math.log2(50**2)) + 1)
+    assert info.value.sizes == (7,) * ascending_scales(data, 2, 0, 4.0)
+
+
+@st.composite
+def tiny_instances(draw):
+    """n <= 10 rows in d = 1..3 drawn from a smaller pool, so rows repeat."""
+    n = draw(st.integers(1, 10))
+    d = draw(st.integers(1, 3))
+    pool = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
+        scale=draw(st.sampled_from([1e-3, 1.0, 100.0])), size=(draw(st.integers(1, n)), d))
+    rows = draw(st.lists(st.integers(0, pool.shape[0] - 1), min_size=n, max_size=n))
+    return pool[rows], draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_instances())
+def test_anchor_is_below_the_optimum(instance):
+    coords, k, seed = instance
+    opt = exhaustive_discrete_opt(coords, k)
+    assert scale_anchor(Dataset(coords), k, seed) <= opt + 1e-12 * (1.0 + opt)
+
+
+def threshold_step(t_star, calls):
+    """A step that fits exactly at the scales tau >= t_star."""
+    def step(i, tau):
+        calls.append((i, tau))
+        return (1, np.array([0])) if tau >= t_star else (2, None)
+    return step
+
+
+BOX = instances()["box"]
+
+
+@pytest.mark.parametrize("ratio", [1e-3, 0.3, 1.0, 7.3, 1e3])
+def test_budget_sweep_brackets_the_fitting_scale(ratio):
+    t_star = ratio * scale_anchor(BOX, 4, 7)
+    calls = []
+    result = sweep_scales(BOX, 4, 7, threshold_step(t_star, calls), 1.0,
+                          threshold=10, budget_mode=True)
+    # each bisection step halves the bracket's log-width, from a factor 2
+    width = 2.0 ** (0.5**covering._BISECTIONS)
+    assert t_star <= result.tau_used <= width * t_star * (1 + 1e-12)
+    assert [i for i, _ in calls] == list(range(result.iterations))
+    assert len(result.sizes) == result.iterations
+
+
+@pytest.mark.parametrize("ratio", [1e-3, 1.0, 1.7])
+def test_ascending_sweep_never_goes_below_the_anchor(ratio):
+    anchor = scale_anchor(BOX, 4, 7)
+    calls = []
+    result = sweep_scales(BOX, 4, 7, threshold_step(ratio * anchor, calls), 2.0)
+    assert min(tau for _, tau in calls) == anchor
+    assert result.tau_used == anchor * 2.0 ** max(0, math.ceil(math.log2(ratio)))
+    assert result.radius_bound == 2.0 * result.tau_used
+
+
+@pytest.mark.parametrize("budget_mode", [False, True])
+def test_sweep_that_never_fits_reports_every_scale(budget_mode):
+    calls = []
+    with pytest.raises(ConstructionFailedError) as info:
+        sweep_scales(BOX, 4, 7, threshold_step(math.inf, calls), 2.0,
+                     threshold=10, budget_mode=budget_mode)
+    assert info.value.sizes == (2,) * len(calls)
+    if not budget_mode:
+        assert len(calls) == ascending_scales(BOX, 4, 7, 2.0)
 
 
 def edge_instance(name, seed):
-    """(data, k) for the edge cases: d = 1, k = n, and large coordinate offsets."""
+    """(data, k) for the edge cases: d = 1, k = n, large coordinate offsets, and
+    rows so duplicated that the anchor's sample sees at most k distinct ones."""
     rng = np.random.default_rng(seed)
     if name == "d1":
         return Dataset(rng.normal(scale=10.0, size=(300, 1))), 4
     if name == "k-equals-n":
         return Dataset(rng.normal(size=(40, 2))), 40
+    if name == "duplicate-heavy":
+        # one row 99992 times and 8 outliers: 9 distinct rows, one more than
+        # the budget 8k, so the budget builds cannot keep the collapse
+        coords = np.zeros((100_000, 2))
+        coords[rng.choice(100_000, size=8, replace=False)] = rng.normal(scale=10.0, size=(8, 2))
+        return Dataset(coords), 1
     return Dataset(1e8 + rng.normal(size=(300, 3))), 4
 
 
@@ -113,20 +201,43 @@ EDGE_BUILDS = {
         data, HashCoveringConfig(k=k, mode="budget", budget=min(data.n, 8 * k), seed=seed)),
     "lowdim": lambda data, k, seed: low_dim_baseline(
         data, HashCoveringConfig(k=k, mode="budget", budget=min(data.n, 8 * k), seed=seed)),
-    # a lower threshold and sparser rounds than the defaults, at which both
-    # keep every row at the first scale on these sizes (ROADMAP item 1)
+    # below the default threshold, which keeps every row at the first scale
+    # on these sizes (ROADMAP item 2)
     "hash-theory": lambda data, k, seed: build_covering_hash(
         data, HashCoveringConfig(k=k, mode="theory", threshold_factor=0.5, seed=seed)),
     "sample": lambda data, k, seed: build_covering_sample(
-        data, SampleCoveringConfig(k=k, sample_constant=0.1, seed=seed)),
+        data, SampleCoveringConfig(k=k, seed=seed)),
 }
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("method", sorted(EDGE_BUILDS))
-@pytest.mark.parametrize("instance", ["d1", "k-equals-n", "offset-1e8"])
+@pytest.mark.parametrize("instance", ["d1", "k-equals-n", "offset-1e8", "duplicate-heavy"])
 def test_edge_case_coverings_sound(instance, method, seed):
     data, k = edge_instance(instance, seed)
+    if instance == "duplicate-heavy":
+        assert scale_anchor(data, k, seed) == 0.0
     result = EDGE_BUILDS[method](data, k, seed)
     assert covering_ok(data.coords, result.subset, result.radius_bound)
-    assert result.size <= data.n
+    assert result.size <= data.n if k == data.n else result.size < data.n
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+def test_budget_that_every_scale_fits_stops_halving(offset):
+    # a budget of n fits at every scale, so budget mode halves until cell
+    # indices would outgrow float resolution, and stops there
+    data = Dataset(offset + np.random.default_rng(5).normal(size=(300, 3)))
+    result = build_covering_hash(
+        data, HashCoveringConfig(k=4, mode="budget", budget=300, seed=0))
+    assert covering_ok(data.coords, result.subset, result.radius_bound)
+    assert result.size == 300 and result.iterations == len(result.sizes) < 100
+
+
+def test_large_offset_at_large_n_stays_sound():
+    # a sweep started far below the data's float resolution (the old 1-D
+    # estimate over n**2 did) overflows the int64 cell indices, which puts
+    # every row in one cell: one row at a radius bound of 1e-11
+    data = Dataset(1e8 + np.random.default_rng(0).normal(size=(200_000, 1)))
+    result = build_covering_hash(
+        data, HashCoveringConfig(k=4, mode="budget", budget=32, seed=0))
+    assert covering_ok(data.coords, result.subset, result.radius_bound)
