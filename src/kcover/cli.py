@@ -112,12 +112,9 @@ def _cmd_coreset(args) -> int:
             result = build_covering_sample(data, SampleCoveringConfig(
                 k=k, beta=args.beta, seed=args.seed))
         else:
-            if args.mode == "budget" and args.budget is None:
-                raise ValueError("--budget is required in budget mode")
-            cfg = HashCoveringConfig(k=k, beta=args.beta, mode=args.mode,
-                                     budget=args.budget,
-                                     threshold_factor=args.threshold_factor,
-                                     seed=args.seed)
+            if args.budget is None:
+                raise ValueError(f"--budget is required for the {args.method} method")
+            cfg = HashCoveringConfig(k=k, budget=args.budget, seed=args.seed)
             build = build_covering_hash if args.method == "hash" else low_dim_baseline
             result = build(data, cfg)
         payload = {
@@ -209,10 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("hash", "sample", "uniform", "lowdim"),
                    default="hash")
     p.add_argument("--k", type=int, default=None, help="default: floor(sqrt(n))")
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--mode", choices=("theory", "budget"), default="budget")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--threshold-factor", type=float, default=200.0)
+    p.add_argument("--beta", type=float, default=2.0,
+                   help="radius factor of --method sample; other methods ignore it")
+    p.add_argument("--budget", type=int, default=None,
+                   help="coreset size for hash, lowdim and uniform")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(fn=_cmd_coreset)
@@ -240,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budgets", default=None,
                    help="comma list; plain sizes or multiples like 8k (default 1k..30k)")
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--beta", type=float, default=2.0)
+    p.add_argument("--beta", type=float, default=2.0,
+                   help="radius factor of the sample method; other methods ignore it")
     p.add_argument("--jl-dim", type=int, default=None,
                    help="projection dimension (default: jl_target_dim at eps 0.5; "
                         "at most d)")

@@ -9,21 +9,15 @@ Every construction runs one scale sweep, sweep_scales. It anchors on a
 certified lower bound L on the optimal cost: greedy on a uniform row
 sample, halved. It collapses exact duplicates when L is 0, and otherwise
 calls the construction's per-scale step on scales tau found from L: the
-theory and sample modes double tau from L until a step accepts, and
-budget mode searches both ways from L for the smallest scale that fits,
-closing with geometric bisection. The sampling construction
-(kcover.sampling) plugs its rounds in as a step. The grid-hash step hashes
-the points into a randomly shifted grid (unshifted for low_dim_baseline)
-and keeps one representative per occupied cell; a scale fits when its
-cell count is at most a threshold:
+sample construction (kcover.sampling) doubles tau from L until its rounds
+converge, and the grid-hash constructions search both ways from L for the
+smallest scale that fits, closing with geometric bisection.
 
-  theory mode  caps the count at threshold_factor * k * t_beta(d, beta)
-               with the grid at scale beta * tau, so the radius bound is
-               beta * tau and the size bound holds with good probability
-               once tau reaches the true cost;
-  budget mode  caps the count at an explicit size budget with the grid at
-               scale tau, mirroring how the construction is run when a
-               target coreset size is known.
+The grid-hash step hashes the points into a randomly shifted grid at scale
+tau (unshifted for low_dim_baseline) and keeps one representative per
+occupied cell. A scale fits when its cell count is at most an explicit size
+budget, so the radius bound is the cell diameter tau; this mirrors how the
+construction is run when a target coreset size is known.
 """
 
 from __future__ import annotations
@@ -73,7 +67,6 @@ class CoveringResult:
     subset: np.ndarray
     radius_bound: float
     tau_used: float
-    iterations: int
     sizes: tuple[int, ...]
 
     def __post_init__(self):
@@ -85,32 +78,18 @@ class CoveringResult:
     def size(self) -> int:
         return int(self.subset.shape[0])
 
+    @property
+    def iterations(self) -> int:
+        """Number of scales the sweep inspected."""
+        return len(self.sizes)
+
 
 @dataclass(frozen=True)
 class HashCoveringConfig:
     k: int
-    beta: float = 2.0
-    mode: str = "theory"  # "theory" | "budget"
+    mode: str = "budget"  # the only value accepted; kept for callers that pass it
     budget: int | None = None
-    threshold_factor: float = 200.0
     seed: int = 0
-
-
-def t_beta_bound(dim: int, beta: float, constants=(1.0, 1.0, 2.76)) -> float:
-    """Per-ball expected cell count bound: c1 * d**c2 * exp(c3 * d / beta**(2/3)).
-
-    The default c3 = 2.76 tracks the volume growth of a cube inflated by the
-    query radius; the bound is clamped below at 1 and saturates to inf for
-    dimensions far beyond any enumerable regime.
-    """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if beta < 1:
-        raise ValueError("beta must be >= 1")
-    c1, c2, c3 = constants
-    exponent = c3 * dim / beta ** (2.0 / 3.0)
-    value = math.inf if exponent > 700 else c1 * dim**c2 * math.exp(exponent)
-    return max(1.0, value)
 
 
 def representatives(cells, dataset: Dataset) -> np.ndarray:
@@ -144,27 +123,26 @@ def scale_anchor(dataset: Dataset, k: int, seed: int) -> float:
 
 
 def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float,
-                 threshold: float = math.inf, budget_mode: bool = False) -> CoveringResult:
+                 budget: int | None = None) -> CoveringResult:
     """Scale search shared by every covering construction.
 
     step(i, tau) tries the i-th scale and returns (size, subset or None); a
     subset means the scale is accepted, with radius bound radius_factor * tau.
-    Every tried scale's size goes into sizes, and iterations counts them.
+    Every tried scale's size goes into sizes.
 
     The search starts from the certified anchor L = scale_anchor. When L is 0
     (the anchor sample holds at most k distinct rows), the exact-duplicate
-    collapse is tried first and kept, at radius 0, if its size is at most
-    threshold; otherwise the anchor is taken on the distinct rows.
+    collapse is tried first and kept, at radius 0, unless it exceeds the
+    budget; otherwise the anchor is taken on the distinct rows.
 
-    Without budget_mode (theory and sample), tau doubles from L, never below
-    it, until a scale accepts or the radius bound reaches the bounding-box
-    diagonal. In budget_mode, where threshold is the budget, tau starts at
-    L * min(1, k / threshold) and doubles until a scale fits, up to
-    _BUDGET_EXTRA_DOUBLINGS past the scale at which one grid cell can hold
-    the whole spread; if the first scale fits, tau halves until one does not
-    instead. Then _BISECTIONS geometric bisection steps between the last
-    scale that did not fit and the first that did keep each midpoint that
-    fits.
+    Without a budget (the sample construction), tau doubles from L, never
+    below it, until a scale accepts or the radius bound reaches the
+    bounding-box diagonal. With one, tau starts at L * min(1, k / budget)
+    and doubles until a scale fits, up to _BUDGET_EXTRA_DOUBLINGS past the
+    scale at which one grid cell can hold the whole spread; if the first
+    scale fits, tau halves until one does not instead. Then _BISECTIONS
+    geometric bisection steps between the last scale that did not fit and
+    the first that did keep each midpoint that fits.
     """
     coords = dataset.coords
     extent = coords.max(axis=0) - coords.min(axis=0)
@@ -178,31 +156,27 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
 
     def accepted(subset, tau: float) -> CoveringResult:
         return CoveringResult(subset=subset, radius_bound=radius_factor * tau,
-                              tau_used=float(tau), iterations=len(sizes),
-                              sizes=tuple(sizes))
+                              tau_used=float(tau), sizes=tuple(sizes))
 
     anchor = scale_anchor(dataset, k, seed)
     if anchor == 0.0:
         reps = first_occurrences(coords)
         sizes.append(reps.shape[0])
-        if reps.shape[0] <= threshold:
+        if budget is None or reps.shape[0] <= budget:
             return accepted(reps, 0.0)
-        if spread == 0.0:
-            # a single distinct row already exceeded the threshold
-            raise ConstructionFailedError(
-                f"threshold {threshold:g} admits no nonempty subset", sizes=sizes)
-        # with at most k distinct rows the optimum is 0 and any scale is above it
+        # with at most k distinct rows the optimum is 0 and any scale is above
+        # it; more than budget >= 1 distinct rows means a nonzero spread
         anchor = scale_anchor(dataset.take(reps), k, seed) or spread
 
-    if budget_mode:
-        tau = anchor * min(1.0, k / threshold)
-        # one cell can hold the whole spread from scale 2 d**1.5 spread on,
-        # and a few fresh shifts past it succeed with overwhelming probability
-        top = 2.0 * dataset.d ** 1.5 * spread * 2.0**_BUDGET_EXTRA_DOUBLINGS
-    else:
+    if budget is None:
         tau = anchor
         # where the radius bound reaches the bounding-box diagonal
         top = float(np.sqrt((extent**2).sum())) / radius_factor
+    else:
+        tau = anchor * min(1.0, k / budget)
+        # one cell can hold the whole spread from scale 2 d**1.5 spread on,
+        # and a few fresh shifts past it succeed with overwhelming probability
+        top = 2.0 * dataset.d ** 1.5 * spread * 2.0**_BUDGET_EXTRA_DOUBLINGS
     lo = None
     best = attempt(tau)
     while best is None:
@@ -210,7 +184,7 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
             raise ConstructionFailedError(f"no scale up to {top:g} fit", sizes=sizes)
         lo, tau = tau, 2.0 * tau
         best = attempt(tau)
-    if not budget_mode:
+    if budget is None:
         return accepted(best, tau)
     if lo is None:
         # the first scale fit: halve until one does not; below floor, cell
@@ -240,26 +214,17 @@ def _sweep_hash(dataset: Dataset, cfg: HashCoveringConfig, shifted: bool) -> Cov
     n, d = dataset.n, dataset.d
     if not 1 <= cfg.k <= n:
         raise ValueError("k must lie in [1, n]")
-    if cfg.beta < 1:
-        raise ValueError("beta must be >= 1")
-    if cfg.mode not in ("theory", "budget"):
-        raise ValueError("mode must be 'theory' or 'budget'")
-    if cfg.mode == "budget":
-        if cfg.budget is None or cfg.budget < 1:
-            raise ValueError("budget mode requires a positive budget")
-        threshold = float(cfg.budget)
-        factor = 1.0
-    else:
-        if cfg.threshold_factor <= 0:
-            raise ValueError("threshold_factor must be positive")
-        threshold = cfg.threshold_factor * cfg.k * t_beta_bound(d, cfg.beta)
-        factor = cfg.beta
+    if cfg.mode != "budget":
+        raise ValueError("mode must be 'budget'")
+    if cfg.budget is None or cfg.budget < 1:
+        raise ValueError("budget mode requires a positive budget")
+    budget = cfg.budget
 
     # fixed row subsample lets hopeless scales be rejected cheaply: its
     # distinct-key count never exceeds the full distinct-cell count. Twice
-    # the threshold catches most scales a few times over it, where the
+    # the budget catches most scales a few times over it, where the
     # bisection steps land, before they cost a full pass.
-    sample_cap = int(min(n, 2 * threshold + 2048)) if math.isfinite(threshold) else n
+    sample_cap = min(n, 2 * budget + 2048)
     filter_coords = None
     if sample_cap < n:
         filter_rows = rng_stream(cfg.seed, STREAM_SCALE_FILTER).choice(
@@ -267,18 +232,15 @@ def _sweep_hash(dataset: Dataset, cfg: HashCoveringConfig, shifted: bool) -> Cov
         filter_coords = dataset.coords[filter_rows]
 
     def step(i: int, tau: float):
-        scale = factor * tau
-        h = (sample_hash(d, scale, cfg.seed, stream=i) if shifted
-             else zero_shift_hash(d, scale))
+        h = sample_hash(d, tau, cfg.seed, stream=i) if shifted else zero_shift_hash(d, tau)
         if filter_coords is not None:
             sub_count = np.unique(row_keys(eval_hash_batch(h, filter_coords))).size
-            if sub_count > threshold:
+            if sub_count > budget:
                 return sub_count, None
         reps = first_occurrences(eval_hash_batch(h, dataset.coords))
-        return reps.shape[0], (reps if reps.shape[0] <= threshold else None)
+        return reps.shape[0], (reps if reps.shape[0] <= budget else None)
 
-    return sweep_scales(dataset, cfg.k, cfg.seed, step, factor, threshold,
-                        budget_mode=cfg.mode == "budget")
+    return sweep_scales(dataset, cfg.k, cfg.seed, step, 1.0, budget=budget)
 
 
 def build_covering_hash(dataset: Dataset, cfg: HashCoveringConfig) -> CoveringResult:

@@ -164,12 +164,10 @@ def _run_cell(work: Dataset, original: Dataset, d_prime: int, k: int, method: st
     failed = False
     try:
         if method == "hash":
-            cfg = HashCoveringConfig(k=k, beta=beta, mode="budget", budget=budget,
-                                     seed=cell_seed)
+            cfg = HashCoveringConfig(k=k, budget=budget, seed=cell_seed)
             subset = build_covering_hash(work, cfg).subset
         elif method == "lowdim":
-            cfg = HashCoveringConfig(k=k, beta=beta, mode="budget", budget=budget,
-                                     seed=cell_seed)
+            cfg = HashCoveringConfig(k=k, budget=budget, seed=cell_seed)
             subset = low_dim_baseline(work, cfg).subset
         elif method == "uniform":
             subset = uniform_baseline(work, budget, cell_seed)

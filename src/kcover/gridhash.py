@@ -9,6 +9,7 @@ by a ball a random variable with mean 1 + 2r/side per axis.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,12 +71,28 @@ def zero_shift_hash(dim: int, scale: float) -> GridHash:
     return GridHash(dim=dim, scale=float(scale), side=side, shift=np.zeros(dim), seed=0)
 
 
+@contextmanager
+def _int64_cells(h: GridHash):
+    """Turn an int64 overflow in the cell-index cast into a ValueError.
+
+    Without the check the cast maps every out-of-range index to -2**63,
+    which silently puts far-apart points in one cell.
+    """
+    with np.errstate(invalid="raise"):
+        try:
+            yield
+        except FloatingPointError:
+            raise ValueError(
+                f"cell indices overflow int64 at scale {h.scale:g}") from None
+
+
 def eval_hash(h: GridHash, x) -> tuple[int, ...]:
     """Cell of one point: per-axis floor((x + shift) / side)."""
     p = np.asarray(x, dtype=np.float64).ravel()
     if p.shape[0] != h.dim:
         raise ValueError("point dimension does not match the grid")
-    cell = np.floor((p + h.shift) / h.side).astype(np.int64)
+    with _int64_cells(h):
+        cell = np.floor((p + h.shift) / h.side).astype(np.int64)
     return tuple(int(c) for c in cell)
 
 
@@ -84,7 +101,8 @@ def eval_hash_batch(h: GridHash, points) -> np.ndarray:
     coords = points.coords if isinstance(points, Dataset) else np.asarray(points, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != h.dim:
         raise ValueError("points must be an (n, dim) array matching the grid")
-    return np.floor((coords + h.shift) / h.side).astype(np.int64)
+    with _int64_cells(h):
+        return np.floor((coords + h.shift) / h.side).astype(np.int64)
 
 
 def count_cells_intersecting_ball(h: GridHash, center, radius: float) -> int:
@@ -107,8 +125,9 @@ def count_cells_intersecting_ball(h: GridHash, center, radius: float) -> int:
     r = radius / h.side
     if r == 0:
         return 1
-    lo = np.floor(y - r).astype(np.int64)
-    hi = np.floor(y + r).astype(np.int64)
+    with _int64_cells(h):
+        lo = np.floor(y - r).astype(np.int64)
+        hi = np.floor(y + r).astype(np.int64)
     spans = hi - lo + 1
     total = int(np.prod(spans, dtype=np.float64))
     if total > _MAX_ENUMERATION:

@@ -24,7 +24,6 @@ class CenterSolution:
 
     centers: np.ndarray
     cost_on_solve_set: float
-    cost_on_full_set: float | None = None
     wall_times: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -103,7 +102,6 @@ def merge_coverings(dataset_a: Dataset, covering_a: CoveringResult,
         raise ValueError("datasets must have equal dimension")
     radius = float(max(covering_a.radius_bound, covering_b.radius_bound))
     stats = dict(tau_used=float(max(covering_a.tau_used, covering_b.tau_used)),
-                 iterations=covering_a.iterations + covering_b.iterations,
                  sizes=tuple(covering_a.sizes) + tuple(covering_b.sizes))
     if dataset_a is dataset_b:
         subset = np.union1d(covering_a.subset, covering_b.subset)
@@ -128,5 +126,4 @@ def reduce_covering(dataset: Dataset, outer: CoveringResult, inner_builder) -> C
     return CoveringResult(subset=final,
                           radius_bound=float(outer.radius_bound + inner.radius_bound),
                           tau_used=inner.tau_used,
-                          iterations=inner.iterations,
                           sizes=tuple(inner.sizes))

@@ -5,6 +5,7 @@ the package is checked against, so they must be obviously correct rather
 than fast.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -76,3 +77,22 @@ def ascending_scales(dataset, k: int, seed: int, radius_factor: float) -> int:
     while tau < diagonal / radius_factor:
         tau, scales = 2.0 * tau, scales + 1
     return scales
+
+
+def t_beta_bound(dim: int, beta: float, constants=(1.0, 1.0, 2.76)) -> float:
+    """Reference per-ball cell count bound: c1 * d**c2 * exp(c3 * d / beta**(2/3)).
+
+    The shifted grid at scale beta * tau, with tau at least the optimal
+    cost, should occupy at most 200 * k * t_beta_bound(d, beta) cells. The
+    default c3 = 2.76 tracks the volume growth of a cube inflated by the
+    query radius; the bound is clamped below at 1 and saturates to inf for
+    dimensions far beyond any enumerable regime.
+    """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if beta < 1:
+        raise ValueError("beta must be >= 1")
+    c1, c2, c3 = constants
+    exponent = c3 * dim / beta ** (2.0 / 3.0)
+    value = math.inf if exponent > 700 else c1 * dim**c2 * math.exp(exponent)
+    return max(1.0, value)

@@ -14,18 +14,14 @@ import numpy as np
 import pytest
 
 from kcover.core import Dataset
-from kcover.covering import (
-    HashCoveringConfig,
-    build_covering_hash,
-    t_beta_bound,
-)
+from kcover.covering import HashCoveringConfig, build_covering_hash
 from kcover.datasets import SyntheticSpec, generate_synthetic
 from kcover.experiment import REPORT_COLUMNS, TIMING_COLUMNS, emit_report, run_sweep
 from kcover.gridhash import count_cells_intersecting_ball, eval_hash_batch, sample_hash
 from kcover.sampling import SampleCoveringConfig, build_covering_sample, run_sampling_rounds
 from kcover.solver import evaluate_on_full, gonzalez, merge_coverings, reduce_covering
 
-from conftest import covering_ok, exhaustive_discrete_opt
+from conftest import covering_ok, exhaustive_discrete_opt, t_beta_bound
 
 
 def report(tag: str, ok: bool, detail: str) -> None:
@@ -128,7 +124,7 @@ def test_c04_theory_size_bound_at_good_radius():
     frac = exceed / trials
     elapsed = time.perf_counter() - t0
     ok = frac <= 0.02 and elapsed < 120.0
-    report("theory-mode size bound", ok,
+    report("grid cell-count bound at the optimal radius", ok,
            f"exceed fraction {frac:.4f} (<= 0.02) over {trials} trials, "
            f"{elapsed:.1f}s (< 120s)")
 

@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from kcover import core
-from kcover.core import ConstructionFailedError, Dataset
+from kcover.core import Dataset
 from kcover.covering import (
     HashCoveringConfig,
     build_covering_hash,
     low_dim_baseline,
     representatives,
-    t_beta_bound,
     uniform_baseline,
 )
 from kcover.datasets import SyntheticSpec, generate_synthetic
 from kcover.gridhash import eval_hash_batch, sample_hash
 from kcover.solver import evaluate_on_full, gonzalez
 
-from conftest import covering_ok
+from conftest import covering_ok, t_beta_bound
 
 
 def four_cluster_instance(n=40, d=2, spread=1.0, separation=100.0, seed=0):
@@ -67,13 +66,9 @@ def test_representatives_rejects_misaligned():
 
 def test_identical_rows_collapse_to_one():
     data = Dataset(np.tile([3.0, -2.0], (25, 1)))
-    for cfg in (
-        HashCoveringConfig(k=2, mode="theory"),
-        HashCoveringConfig(k=2, mode="budget", budget=5),
-    ):
-        result = build_covering_hash(data, cfg)
-        assert result.size == 1
-        assert result.radius_bound == 0.0
+    result = build_covering_hash(data, HashCoveringConfig(k=2, mode="budget", budget=5))
+    assert result.size == 1
+    assert result.radius_bound == 0.0
 
 
 def test_budget_mode_on_planted_clusters():
@@ -91,20 +86,10 @@ def test_budget_mode_on_planted_clusters():
     assert full <= 2.0 * opt_ref + 2.0 * result.radius_bound + 1e-9
 
 
-def test_theory_mode_on_planted_clusters():
-    data = four_cluster_instance(seed=1)
-    cfg = HashCoveringConfig(k=4, beta=2.0, mode="theory", seed=5)
-    result = build_covering_hash(data, cfg)
-    assert covering_ok(data.coords, result.subset, result.radius_bound)
-    assert result.radius_bound == pytest.approx(cfg.beta * result.tau_used)
-    opt_ref = gonzalez(data, 4).cost_on_solve_set
-    assert result.tau_used <= 2.0 * opt_ref
-
-
 def test_theory_mode_size_bound_at_good_radius():
     # hash a planted instance at the scale the theory prescribes and compare
-    # the occupied-cell count with the stop threshold; d=1 keeps the
-    # threshold below n so the check has teeth
+    # the occupied-cell count with the reference bound; d=1 keeps the
+    # bound below n so the check has teeth
     spec = SyntheticSpec("gaussian_mixture", n=5000, d=1, k_planted=1,
                          cluster_std=1.0, separation=10.0, seed=2)
     data, _ = generate_synthetic(spec)
@@ -161,23 +146,6 @@ def test_scale_filter_path_is_consistent():
     assert (result.sizes[-1] == result.size) == (result.sizes[-1] <= 64)
 
 
-def test_theory_mode_failure_carries_sizes():
-    rng = np.random.default_rng(1)
-    data = Dataset(rng.normal(size=(50, 2)))
-    cfg = HashCoveringConfig(k=1, mode="theory", threshold_factor=1e-9, seed=0)
-    with pytest.raises(ConstructionFailedError) as info:
-        build_covering_hash(data, cfg)
-    assert len(info.value.sizes) >= 1
-    assert min(info.value.sizes) >= 1
-
-
-def test_identical_rows_below_unit_threshold_fail():
-    data = Dataset(np.tile([1.0], (10, 1)))
-    cfg = HashCoveringConfig(k=1, mode="theory", threshold_factor=1e-9)
-    with pytest.raises(ConstructionFailedError):
-        build_covering_hash(data, cfg)
-
-
 def test_config_validation():
     data = Dataset(np.zeros((3, 1)))
     with pytest.raises(ValueError):
@@ -185,9 +153,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         build_covering_hash(data, HashCoveringConfig(k=1, mode="budget"))
     with pytest.raises(ValueError):
-        build_covering_hash(data, HashCoveringConfig(k=1, beta=0.5))
-    with pytest.raises(ValueError):
-        build_covering_hash(data, HashCoveringConfig(k=1, mode="nope"))
+        build_covering_hash(data, HashCoveringConfig(k=1, mode="theory", budget=2))
 
 
 def test_build_deterministic_per_seed():

@@ -105,6 +105,18 @@ def test_eval_hash_batch_duplicates_and_line():
     assert batch[:, 0].tolist() == [0, 1, 2, 0]
 
 
+def test_cell_index_overflow_raises():
+    # |x| / side past 2**63 would cast every row to cell -2**63, one cell
+    h = sample_hash(1, 1e-12, seed=0)
+    pts = np.array([[1e8], [2e8], [3e8]])
+    with pytest.raises(ValueError):
+        eval_hash_batch(h, pts)
+    with pytest.raises(ValueError):
+        eval_hash(h, pts[0])
+    with pytest.raises(ValueError):
+        count_cells_intersecting_ball(h, pts[0], 1e-13)
+
+
 def test_count_cells_point_ball():
     h = sample_hash(3, 1.7, seed=5)
     assert count_cells_intersecting_ball(h, [0.3, 0.4, 0.5], 0.0) == 1

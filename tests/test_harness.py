@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kcover.experiment
+import kcover.sampling
 from kcover.cli import EXIT_CONSTRUCTION, EXIT_IO, EXIT_USAGE, main
 from kcover.core import Dataset
 from kcover.datasets import SyntheticSpec, generate_synthetic
@@ -259,7 +260,7 @@ def test_cli_round_trip(tmp_path, capsys):
     data_path = synth_csv(tmp_path)
     coreset_path = tmp_path / "coreset.json"
     rc = main(["coreset", "--input", str(data_path), "--method", "hash",
-               "--k", "3", "--mode", "budget", "--budget", "20",
+               "--k", "3", "--budget", "20",
                "--output", str(coreset_path)])
     assert rc == 0
     payload = json.loads(coreset_path.read_text())
@@ -330,8 +331,8 @@ def test_cli_sweep_stdout_json(tmp_path, capsys):
 
 def test_cli_usage_errors(tmp_path, capsys):
     data_path = synth_csv(tmp_path, n=40, k=2, seed=6)
-    # budget mode without a budget
-    rc = main(["coreset", "--input", str(data_path), "--mode", "budget",
+    # hash method without a budget
+    rc = main(["coreset", "--input", str(data_path),
                "--output", str(tmp_path / "x.json")])
     assert rc == EXIT_USAGE
     # malformed budget token
@@ -351,10 +352,12 @@ def test_cli_argparse_rejects_unknown_flag(capsys):
     capsys.readouterr()
 
 
-def test_cli_construction_failure_exit_code(tmp_path, capsys):
+def test_cli_construction_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # sampling rounds that never converge exhaust every scale
+    monkeypatch.setattr(kcover.sampling, "run_sampling_rounds",
+                        lambda dataset, tau, cfg, tau_index=0: (None, 7))
     data_path = synth_csv(tmp_path, n=100, k=2, seed=7)
-    rc = main(["coreset", "--input", str(data_path), "--method", "hash",
-               "--mode", "theory", "--threshold-factor", "1e-9",
+    rc = main(["coreset", "--input", str(data_path), "--method", "sample",
                "--k", "2", "--output", str(tmp_path / "z.json")])
     assert rc == EXIT_CONSTRUCTION
     assert "construction failed" in capsys.readouterr().err

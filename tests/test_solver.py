@@ -133,7 +133,7 @@ def test_merge_with_singleton():
     a, cov_a, _, _ = halves(9)
     point = Dataset(np.array([[100.0, -3.0]]))
     trivial = CoveringResult(subset=np.array([0]), radius_bound=0.0,
-                             tau_used=0.0, iterations=1, sizes=(1,))
+                             tau_used=0.0, sizes=(1,))
     merged, cov = merge_coverings(a, cov_a, point, trivial)
     assert covering_ok(merged.coords, cov.subset, cov.radius_bound)
     assert merged.coords[cov.subset.max()].tolist() == [100.0, -3.0]
@@ -159,7 +159,7 @@ def test_reduce_identity_inner_keeps_outer():
 
     def identity(sub):
         return CoveringResult(subset=np.arange(sub.n), radius_bound=0.0,
-                              tau_used=0.0, iterations=1, sizes=(sub.n,))
+                              tau_used=0.0, sizes=(sub.n,))
 
     reduced = reduce_covering(a, cov_a, identity)
     assert reduced.subset.tolist() == cov_a.subset.tolist()
@@ -201,7 +201,7 @@ def test_reduce_rejects_inner_out_of_range():
 
     def broken(sub):
         return CoveringResult(subset=np.array([sub.n + 5]), radius_bound=0.0,
-                              tau_used=0.0, iterations=1, sizes=(1,))
+                              tau_used=0.0, sizes=(1,))
 
     with pytest.raises(ValueError):
         reduce_covering(a, cov_a, broken)

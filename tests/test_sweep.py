@@ -32,8 +32,6 @@ def instances():
 BUILDS = {
     "hash-budget": lambda data: build_covering_hash(
         data, HashCoveringConfig(k=4, mode="budget", budget=10, seed=7)),
-    "hash-theory": lambda data: build_covering_hash(
-        data, HashCoveringConfig(k=4, mode="theory", threshold_factor=0.05, seed=7)),
     "lowdim": lambda data: low_dim_baseline(
         data, HashCoveringConfig(k=4, mode="budget", budget=10, seed=7)),
     "sample": lambda data: build_covering_sample(
@@ -46,9 +44,6 @@ PINNED = {
     ("clusters", "hash-budget"): (
         [0, 1, 2, 3, 4, 5, 7, 18, 21, 25],
         6.0118196360582825, 6.0118196360582825, 6, (33, 24, 16, 7, 13, 10)),
-    ("clusters", "hash-theory"): (
-        [0, 1, 2, 3, 5, 10, 27, 35, 39],
-        8.936623356641972, 4.468311678320986, 2, (14, 9)),
     ("clusters", "lowdim"): (
         [0, 1, 2, 3, 4, 5, 6, 8, 20],
         34.00798745541803, 34.00798745541803, 9, (35, 22, 18, 16, 16, 16, 9, 9, 9)),
@@ -58,9 +53,6 @@ PINNED = {
     ("box", "hash-budget"): (
         [0, 1, 2, 3, 7, 18, 24, 28],
         11.025482360843949, 11.025482360843949, 7, (36, 34, 23, 11, 8, 7, 8)),
-    ("box", "hash-theory"): (
-        [0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 15, 16, 18, 19, 20, 21, 24, 26, 28, 34, 35],
-        5.794555371047961, 2.8972776855239806, 1, (21,)),
     ("box", "lowdim"): (
         [0, 1, 2, 3, 4, 10, 17, 21],
         9.271288593676738, 9.271288593676738, 6, (36, 36, 24, 8, 16, 13)),
@@ -149,8 +141,7 @@ BOX = instances()["box"]
 def test_budget_sweep_brackets_the_fitting_scale(ratio):
     t_star = ratio * scale_anchor(BOX, 4, 7)
     calls = []
-    result = sweep_scales(BOX, 4, 7, threshold_step(t_star, calls), 1.0,
-                          threshold=10, budget_mode=True)
+    result = sweep_scales(BOX, 4, 7, threshold_step(t_star, calls), 1.0, budget=10)
     # each bisection step halves the bracket's log-width, from a factor 2
     width = 2.0 ** (0.5**covering._BISECTIONS)
     assert t_star <= result.tau_used <= width * t_star * (1 + 1e-12)
@@ -173,7 +164,7 @@ def test_sweep_that_never_fits_reports_every_scale(budget_mode):
     calls = []
     with pytest.raises(ConstructionFailedError) as info:
         sweep_scales(BOX, 4, 7, threshold_step(math.inf, calls), 2.0,
-                     threshold=10, budget_mode=budget_mode)
+                     budget=10 if budget_mode else None)
     assert info.value.sizes == (2,) * len(calls)
     if not budget_mode:
         assert len(calls) == ascending_scales(BOX, 4, 7, 2.0)
@@ -201,10 +192,6 @@ EDGE_BUILDS = {
         data, HashCoveringConfig(k=k, mode="budget", budget=min(data.n, 8 * k), seed=seed)),
     "lowdim": lambda data, k, seed: low_dim_baseline(
         data, HashCoveringConfig(k=k, mode="budget", budget=min(data.n, 8 * k), seed=seed)),
-    # below the default threshold, which keeps every row at the first scale
-    # on these sizes (ROADMAP item 2)
-    "hash-theory": lambda data, k, seed: build_covering_hash(
-        data, HashCoveringConfig(k=k, mode="theory", threshold_factor=0.5, seed=seed)),
     "sample": lambda data, k, seed: build_covering_sample(
         data, SampleCoveringConfig(k=k, seed=seed)),
 }
