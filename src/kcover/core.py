@@ -18,7 +18,12 @@ collapsed to their first occurrences before the screen, so copies of one
 member never widen a row's re-check window.
 
 Exact row dedup, of grid cells and of coordinates alike, is one routine,
-``first_occurrences``.
+``first_occurrences``, built on sorting rather than ``np.unique``: one
+64-bit key per row, one unstable argsort of the keys, and an exact check of
+every key group against full rows. Given a budget, it stops after the sort
+when the distinct keys already exceed it; equal rows get equal keys, so that
+count is a lower bound on the distinct rows. Value-only dedup of 1-D arrays
+(row indices, keys) is ``sorted_distinct``, a sort and an adjacent compare.
 """
 
 from __future__ import annotations
@@ -115,7 +120,7 @@ def index_subset(indices, n) -> np.ndarray:
         raise ValueError("index subset must be nonempty")
     if idx.min() < 0 or idx.max() >= n:
         raise ValueError(f"indices must lie in [0, {n})")
-    return np.unique(idx)
+    return sorted_distinct(idx)
 
 
 def dist(p, q) -> float:
@@ -180,23 +185,66 @@ def row_keys(rows) -> np.ndarray:
     return (u ^ (u >> 32)) @ _mix_multipliers(u.shape[1])
 
 
-def first_occurrences(rows) -> np.ndarray:
-    """Lowest index of each distinct row of a 2-D array, sorted ascending.
+def _group_starts(sorted_values) -> np.ndarray:
+    """Mask of the positions of a sorted nonempty 1-D array that start a run."""
+    starts = np.empty(sorted_values.shape[0], dtype=bool)
+    starts[0] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:])
+    return starts
+
+
+def sorted_distinct(values) -> np.ndarray:
+    """Distinct values of a nonempty 1-D integer array, sorted ascending.
+
+    The same values as np.unique, from a sort and an adjacent compare;
+    np.unique without return arguments takes a hash path that is several
+    times slower on int64.
+    """
+    ordered = np.sort(values)
+    return ordered[_group_starts(ordered)]
+
+
+def first_occurrences(rows, budget=None):
+    """Lowest index of each distinct row of a nonempty 2-D array.
+
+    Returns (count, indices): indices sorted ascending, count their number.
+    Given a budget, more than budget distinct rows come back as (count,
+    None). When the distinct row_keys already exceed the budget, count is
+    their number: a lower bound on the distinct rows, equal to it unless
+    two of them collide in 64 bits. Otherwise count is exact.
 
     Integer rows (grid cells) compare as full vectors. Float rows compare by
     the bit pattern of ``row + 0.0``, so 0.0 and -0.0 are one value, as
-    ``np.unique`` treats them. Rows are grouped by row_keys and each group
-    is verified against its first row; on a key collision the routine
-    falls back to a lexicographic ``np.unique``.
+    ``np.unique`` treats them. Rows are ordered by one unstable argsort of
+    their row_keys, and every key group is verified row by row; on a key
+    collision the routine falls back to a lexicographic ``np.unique``.
     """
     arr = np.asarray(rows)
     if arr.dtype.kind == "f":
         arr = (arr.astype(np.float64, copy=False) + 0.0).view(np.int64)
-    arr = arr.astype(np.int64, copy=False)
-    _, first, inverse = np.unique(row_keys(arr), return_index=True, return_inverse=True)
-    if not np.array_equal(arr, arr[first[inverse]]):
+    arr = np.ascontiguousarray(arr, dtype=np.int64)
+    n, width = arr.shape
+    keys = row_keys(arr)
+    order = np.argsort(keys)
+    starts = _group_starts(keys[order])
+    count = int(np.count_nonzero(starts))
+    if budget is not None and count > budget:
+        return count, None
+    # equal rows share a key, so the groups are exact when every row but a
+    # group's first equals the row before it. Whole rows are gathered as
+    # single void items (no fancy-indexed 2-D copy) and compared as integers,
+    # entry by entry: a row-wise all() over a few columns costs ten times more
+    heads = np.flatnonzero(starts)
+    ordered = arr.view((np.void, 8 * width)).ravel()[order].view(np.int64).reshape(n, width)
+    equal = ordered[1:] == ordered[:-1]  # row i + 1 against row i
+    if np.count_nonzero(equal) - np.count_nonzero(equal[heads[1:] - 1]) == width * (n - count):
+        first = np.minimum.reduceat(order, heads)
+    else:
         _, first = np.unique(arr, axis=0, return_index=True)
-    return np.sort(first.astype(np.int64))
+    first = np.sort(first.astype(np.int64, copy=False))
+    if budget is not None and first.shape[0] > budget:
+        return first.shape[0], None
+    return first.shape[0], first
 
 
 def _center_rows(dataset: Dataset, centers) -> np.ndarray:
@@ -251,7 +299,7 @@ def _nearest_sq(points: np.ndarray, members: np.ndarray):
     exact values over the members inside it; a NaN screen (overflowed
     coordinates) keeps every member of its row inside.
     """
-    keep = first_occurrences(members)
+    keep = first_occurrences(members)[1]
     members = members[keep]
     n, d = points.shape
     m = members.shape[0]

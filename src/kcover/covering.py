@@ -36,6 +36,7 @@ from .core import (
     first_occurrences,
     rng_stream,
     row_keys,
+    sorted_distinct,
 )
 from .gridhash import eval_hash_batch, sample_hash, zero_shift_hash
 
@@ -59,9 +60,11 @@ _MIN_RELATIVE_SCALE = 2.0**-40
 class CoveringResult:
     """Row subset plus the radius within which it covers the dataset.
 
-    sizes holds one entry per scale the sweep inspected: the exact occupied
-    cell count whenever the full dedup ran, otherwise a certified lower
-    bound from a fixed row subsample (used only to rule scales out).
+    sizes holds one entry per scale the sweep inspected. An accepted grid
+    scale records its exact occupied cell count. A rejected one records a
+    certified lower bound on it: the distinct cell keys of a fixed row
+    subsample, or of all rows when the subsample fit the budget. A key count
+    equals the cell count unless two cells' 64-bit keys collide.
     """
 
     subset: np.ndarray
@@ -90,18 +93,6 @@ class HashCoveringConfig:
     mode: str = "budget"  # the only value accepted; kept for callers that pass it
     budget: int | None = None
     seed: int = 0
-
-
-def representatives(cells, dataset: Dataset) -> np.ndarray:
-    """Lowest row index per distinct cell, sorted ascending.
-
-    cells[i] must be the cell of dataset row i; cells are compared as full
-    integer vectors, never through a compressed key alone.
-    """
-    arr = np.asarray(cells, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != dataset.n:
-        raise ValueError("cells must be an (n, dim) array aligned with the dataset")
-    return first_occurrences(arr)
 
 
 def scale_anchor(dataset: Dataset, k: int, seed: int) -> float:
@@ -160,7 +151,7 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
 
     anchor = scale_anchor(dataset, k, seed)
     if anchor == 0.0:
-        reps = first_occurrences(coords)
+        reps = first_occurrences(coords)[1]
         sizes.append(reps.shape[0])
         if budget is None or reps.shape[0] <= budget:
             return accepted(reps, 0.0)
@@ -234,11 +225,10 @@ def _sweep_hash(dataset: Dataset, cfg: HashCoveringConfig, shifted: bool) -> Cov
     def step(i: int, tau: float):
         h = sample_hash(d, tau, cfg.seed, stream=i) if shifted else zero_shift_hash(d, tau)
         if filter_coords is not None:
-            sub_count = np.unique(row_keys(eval_hash_batch(h, filter_coords))).size
+            sub_count = sorted_distinct(row_keys(eval_hash_batch(h, filter_coords))).size
             if sub_count > budget:
                 return sub_count, None
-        reps = first_occurrences(eval_hash_batch(h, dataset.coords))
-        return reps.shape[0], (reps if reps.shape[0] <= budget else None)
+        return first_occurrences(eval_hash_batch(h, dataset.coords), budget)
 
     return sweep_scales(dataset, cfg.k, cfg.seed, step, 1.0, budget=budget)
 

@@ -101,8 +101,13 @@ def eval_hash_batch(h: GridHash, points) -> np.ndarray:
     coords = points.coords if isinstance(points, Dataset) else np.asarray(points, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != h.dim:
         raise ValueError("points must be an (n, dim) array matching the grid")
+    # shift, scale and floor in one buffer, so a full pass holds a single
+    # (n, dim) float temporary next to the cells
+    cells = np.add(coords, h.shift)
+    np.divide(cells, h.side, out=cells)
+    np.floor(cells, out=cells)
     with _int64_cells(h):
-        return np.floor((coords + h.shift) / h.side).astype(np.int64)
+        return cells.astype(np.int64)
 
 
 def count_cells_intersecting_ball(h: GridHash, center, radius: float) -> int:

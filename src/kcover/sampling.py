@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STREAM_ROUND_SAMPLE, Dataset, rng_stream
+from .core import STREAM_ROUND_SAMPLE, Dataset, rng_stream, sorted_distinct
 from .covering import CoveringResult, sweep_scales
 from .neighbor import build_oracle
 
@@ -45,7 +45,7 @@ def sample_with_replacement(pool, size: int, seed: int, stream=()) -> np.ndarray
         raise ValueError("size must be >= 1")
     rng = rng_stream(seed, STREAM_ROUND_SAMPLE, *stream)
     draws = rng.integers(0, arr.size, size=size)
-    return np.unique(arr[draws])
+    return sorted_distinct(arr[draws])
 
 
 def _round_budget(n: int) -> int:
@@ -76,7 +76,7 @@ def run_sampling_rounds(dataset: Dataset, tau: float, cfg: SampleCoveringConfig,
         _, dists = build_oracle(dataset, batch).query_many(dataset.coords[pool])
         pool = pool[dists > removal_radius]
         if pool.size == 0:
-            return np.unique(np.concatenate(batches)), total
+            return sorted_distinct(np.concatenate(batches)), total
     return None, total
 
 

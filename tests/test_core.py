@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kcover import core
 from kcover.core import (
     Dataset,
     cost,
     dist,
     dist_to_set,
+    first_occurrences,
     index_subset,
     min_sq_dists,
     rng_stream,
+    sorted_distinct,
 )
 
 from conftest import max_min_dist, nearest_member_loop
@@ -160,6 +163,78 @@ def test_index_subset_sorts_and_dedups():
         index_subset([5], 5)
     with pytest.raises(ValueError):
         index_subset([-1], 5)
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        idx = rng.integers(0, 50, size=int(rng.integers(1, 200)))
+        out = index_subset(idx, 50)
+        assert out.dtype == np.int64 and out.tolist() == np.unique(idx).tolist()
+
+
+def lexicographic_first(rows):
+    """Reference dedup: np.unique over whole rows, first indices ascending."""
+    return np.sort(np.unique(rows, axis=0, return_index=True)[1])
+
+
+@st.composite
+def duplicated_rows(draw):
+    """Up to 300 rows of width 1, 2 or 20 drawn from at most 8 distinct ones.
+
+    Floats draw from values that include both 0.0 and -0.0."""
+    width = draw(st.sampled_from([1, 2, 20]))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pool = rng.choice([0.0, -0.0, 1.5, -2.25], size=(draw(st.integers(1, 8)), width))
+    else:
+        pool = rng.integers(-3, 3, size=(draw(st.integers(1, 8)), width))
+    return pool[rng.integers(0, pool.shape[0], size=n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(duplicated_rows())
+def test_first_occurrences_matches_lexicographic_unique(rows):
+    expect = lexicographic_first(rows)
+    count, first = first_occurrences(rows)
+    assert count == expect.size
+    assert first.dtype == np.int64 and first.tolist() == expect.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(duplicated_rows(), st.integers(0, 300))
+def test_first_occurrences_over_budget_count_is_a_lower_bound(rows, budget):
+    expect = lexicographic_first(rows)
+    exact = expect.size
+    count, first = first_occurrences(rows, budget)
+    if exact <= budget:
+        assert count == exact and first.tolist() == expect.tolist()
+    else:
+        assert first is None and budget < count <= exact
+
+
+@pytest.mark.parametrize("width", [1, 2, 20])
+def test_first_occurrences_of_one_row(width):
+    assert first_occurrences(np.full((1, width), -7))[1].tolist() == [0]
+    assert first_occurrences(np.full((1, width), -0.0), budget=1)[1].tolist() == [0]
+    assert first_occurrences(np.full((1, width), 2.5), budget=0) == (1, None)
+
+
+def test_first_occurrences_with_colliding_keys(monkeypatch):
+    # ten distinct rows under three keys: the key count is a strict lower
+    # bound, and a key count within the budget still dedups exactly
+    rows = np.arange(10, dtype=np.int64).reshape(-1, 1).repeat(2, axis=0)
+    keys = core.row_keys
+    monkeypatch.setattr(core, "row_keys", lambda r: keys(r) % np.uint64(3))
+    assert first_occurrences(rows, budget=2) == (3, None)
+    assert first_occurrences(rows, budget=5) == (10, None)
+    count, first = first_occurrences(rows, budget=10)
+    assert count == 10 and first.tolist() == list(range(0, 20, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=200))
+def test_sorted_distinct_matches_unique(values):
+    values = np.array(values, dtype=np.int64)
+    assert sorted_distinct(values).tolist() == np.unique(values).tolist()
 
 
 def test_min_sq_dists_matches_direct_computation():

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from kcover import core
-from kcover.core import Dataset
+from kcover.core import Dataset, first_occurrences
 from kcover.covering import (
     HashCoveringConfig,
     build_covering_hash,
     low_dim_baseline,
-    representatives,
     uniform_baseline,
 )
 from kcover.datasets import SyntheticSpec, generate_synthetic
@@ -38,30 +37,24 @@ def test_t_beta_bound_shape():
 
 
 def test_representatives_single_cell():
-    data = Dataset(np.zeros((4, 2)))
     cells = np.zeros((4, 2), dtype=np.int64)
-    assert representatives(cells, data).tolist() == [0]
+    assert first_occurrences(cells)[1].tolist() == [0]
 
 
 def test_representatives_all_distinct():
-    data = Dataset(np.zeros((5, 1)))
     cells = np.arange(5, dtype=np.int64).reshape(-1, 1)
-    assert representatives(cells, data).tolist() == [0, 1, 2, 3, 4]
+    assert first_occurrences(cells)[1].tolist() == [0, 1, 2, 3, 4]
 
 
 def test_representatives_first_occurrence(monkeypatch):
-    data = Dataset(np.zeros((5, 1)))
     cells = np.array([[0], [1], [0], [2], [1]], dtype=np.int64)  # A B A C B
-    assert representatives(cells, data).tolist() == [0, 1, 3]
+    assert first_occurrences(cells)[1].tolist() == [0, 1, 3]
     # every row under one key: verification must catch it and dedup exactly
     monkeypatch.setattr(core, "row_keys", lambda rows: np.zeros(len(rows), dtype=np.uint64))
-    assert representatives(cells, data).tolist() == [0, 1, 3]
-
-
-def test_representatives_rejects_misaligned():
-    data = Dataset(np.zeros((3, 1)))
-    with pytest.raises(ValueError):
-        representatives(np.zeros((4, 1), dtype=np.int64), data)
+    count, reps = first_occurrences(cells)
+    assert count == 3 and reps.tolist() == [0, 1, 3]
+    # the key count, 1, fits a budget of 2; the exact count does not
+    assert first_occurrences(cells, budget=2) == (3, None)
 
 
 def test_identical_rows_collapse_to_one():
@@ -100,7 +93,7 @@ def test_theory_mode_size_bound_at_good_radius():
     over = 0
     for seed in range(100):
         h = sample_hash(1, beta * tau, seed)
-        size = representatives(eval_hash_batch(h, data.coords), data).shape[0]
+        size = first_occurrences(eval_hash_batch(h, data.coords))[0]
         if size > threshold:
             over += 1
     assert over == 0

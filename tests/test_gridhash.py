@@ -117,6 +117,22 @@ def test_cell_index_overflow_raises():
         count_cells_intersecting_ball(h, pts[0], 1e-13)
 
 
+def test_eval_hash_batch_on_negative_coordinates():
+    # the in-place buffer gives the cells of the plain floor((x + shift) / side)
+    h = sample_hash(3, 0.7, seed=4)
+    pts = np.random.default_rng(3).uniform(-50.0, 5.0, size=(200, 3))
+    pts[:4] = -h.shift  # on a cell corner
+    pts[4:8] = np.nextafter(-h.shift, -np.inf)  # just below it
+    before = pts.copy()
+    cells = eval_hash_batch(h, pts)
+    np.testing.assert_array_equal(cells, np.floor((pts + h.shift) / h.side).astype(np.int64))
+    np.testing.assert_array_equal(pts, before)
+    assert cells[:4].tolist() == [[0, 0, 0]] * 4 and (cells[4:8] == -1).all()
+    assert (cells < 0).mean() > 0.5
+    with pytest.raises(ValueError):
+        eval_hash_batch(sample_hash(1, 1e-12, seed=0), np.array([[-1e8], [-2e8]]))
+
+
 def test_count_cells_point_ball():
     h = sample_hash(3, 1.7, seed=5)
     assert count_cells_intersecting_ball(h, [0.3, 0.4, 0.5], 0.0) == 1

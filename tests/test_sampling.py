@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kcover.core import Dataset
+from kcover import sampling
+from kcover.core import STREAM_ROUND_SAMPLE, Dataset, rng_stream
 from kcover.sampling import (
     SampleCoveringConfig,
     build_covering_sample,
@@ -47,6 +48,30 @@ def test_sample_deterministic_and_within_pool():
     assert set(a).issubset(set(pool.tolist()))
     assert len(a) <= 6
     assert np.all(np.diff(a) > 0)
+
+
+def test_sample_matches_unique_of_the_draws():
+    rng = np.random.default_rng(31)
+    for seed in range(10):
+        pool = rng.integers(0, 40, size=int(rng.integers(1, 60)))
+        draws = rng_stream(seed, STREAM_ROUND_SAMPLE, 4).integers(0, pool.size, size=80)
+        out = sample_with_replacement(pool, 80, seed, stream=(4,))
+        assert out.tolist() == np.unique(pool[draws]).tolist()
+
+
+def test_round_union_matches_unique_of_the_batches(monkeypatch):
+    batches = []
+
+    def recording(*args, **kwargs):
+        batches.append(sample_with_replacement(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(sampling, "sample_with_replacement", recording)
+    data = Dataset(np.random.default_rng(5).uniform(size=(300, 2)))
+    cfg = SampleCoveringConfig(k=4, sample_constant=0.5, seed=2)
+    subset, _ = run_sampling_rounds(data, 0.05, cfg)
+    assert subset is not None and len(batches) > 1
+    assert subset.tolist() == np.unique(np.concatenate(batches)).tolist()
 
 
 def test_sample_rejects_bad_input():

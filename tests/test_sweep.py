@@ -1,5 +1,6 @@
 """The shared scale sweep behind the hash, low-dimensional and sample coverings."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from kcover.covering import (
     scale_anchor,
     sweep_scales,
 )
+from kcover.gridhash import eval_hash_batch
 from kcover.sampling import SampleCoveringConfig, build_covering_sample
 
 from conftest import ascending_scales, covering_ok, exhaustive_discrete_opt
@@ -68,6 +70,43 @@ def test_coverings_match_pinned_values(instance, method):
     got = (result.subset.tolist(), result.radius_bound, result.tau_used,
            result.iterations, result.sizes)
     assert got == PINNED[(instance, method)]
+
+
+# (size, sha256 of the subset as little-endian int64, radius_bound, tau_used,
+# sizes) on 20k normal rows in d = 2 at budget 500: the subsample filter
+# runs (2 * 500 + 2048 < 20k rows) and the full passes at 665 and 507 cells
+# (660 and 501 unshifted) are rejected
+FILTERED_BUDGET = 500
+FILTERED_PINNED = {
+    "hash-budget": (
+        374, "6152c1bec8153d44d20619d69165fef973ec266ca31855108b10a2ba704b19ad",
+        0.4684618777142408, 0.4684618777142408,
+        (2999, 2906, 2513, 1665, 734, 374, 665, 507)),
+    "lowdim": (
+        372, "085ab2df14ee4303435062d6158be497a17055b068ecf90f50ba80ca60b9a79b",
+        0.4684618777142408, 0.4684618777142408,
+        (3012, 2900, 2525, 1660, 734, 372, 660, 501)),
+}
+
+
+@pytest.mark.parametrize("method", sorted(FILTERED_PINNED))
+def test_filtered_sweep_matches_pinned_values(method, monkeypatch):
+    data = Dataset(np.random.default_rng(406).normal(size=(20_000, 2)))
+    rows_hashed = []
+
+    def counting(h, points):
+        rows_hashed.append(len(points))
+        return eval_hash_batch(h, points)
+
+    monkeypatch.setattr(covering, "eval_hash_batch", counting)
+    build = build_covering_hash if method == "hash-budget" else low_dim_baseline
+    result = build(data, HashCoveringConfig(k=8, budget=FILTERED_BUDGET, seed=3))
+    digest = hashlib.sha256(result.subset.astype("<i8").tobytes()).hexdigest()
+    assert (result.size, digest, result.radius_bound, result.tau_used,
+            result.sizes) == FILTERED_PINNED[method]
+    full_passes = rows_hashed.count(data.n)
+    accepted = sum(s <= FILTERED_BUDGET for s in result.sizes)
+    assert len(rows_hashed) > full_passes > accepted
 
 
 @pytest.mark.parametrize("method", ["hash-budget", "lowdim", "sample"])
