@@ -3,19 +3,26 @@
 Distances are computed on squared values internally; square roots are taken
 only at API boundaries, so exact zeros for coincident rows survive.
 
-Nearest-member queries (``min_sq_dists``, hence ``cost``, and the exact
-oracle) run through one blocked kernel, ``_nearest_sq``. It screens members
-with a GEMM, ``|x|^2 - 2 x.c + |c|^2``, on points and members translated to
-the midpoint of the members' bounding box. Then it recomputes the squared
-distance from coordinate differences, as ``sq_dists_to_point`` does, to the
-screened winner and to every other member whose screen lies within twice
-the rounding bound ``8 (d + 2) eps (|x|^2 + max |c|^2)`` of the row's
-minimum. So its values are exactly those of one ``sq_dists_to_point`` pass
-per member: coincident rows get exactly 0.0, and exact ties go to the
-lowest member index. Each block buffer holds at most ``_BLOCK_ELEMS``
-float64 values (512 KiB), and a block at least one row. Members are
-collapsed to their first occurrences before the screen, so copies of one
-member never widen a row's re-check window.
+Nearest-member queries (``min_sq_dists`` and the exact oracle) run through
+one blocked kernel, ``_nearest_sq``. It screens members with a GEMM,
+``|x|^2 - 2 x.c + |c|^2``, on points and members translated to the midpoint
+of the members' bounding box (``_screen_frame``, which also derives the
+rounding bound B = ``8 (d + 2) eps (|x|^2 + max |c|^2)``). Then it
+recomputes the squared distance from coordinate differences, as
+``sq_dists_to_point`` does, to the screened winner and to every other
+member whose screen lies within 2B of the row's minimum. So its values are
+exactly those of one ``sq_dists_to_point`` pass per member: coincident rows
+get exactly 0.0, and exact ties go to the lowest member index. Each block
+buffer holds at most ``_BLOCK_ELEMS`` float64 values (512 KiB), and a block
+at least one row. Members are collapsed to their first occurrences before
+the screen, so copies of one member never widen a row's re-check window.
+
+``cost`` needs only the largest of those distances, and ``_farthest_sq``
+gets it without a per-row argmin. The same GEMM, laid out one row per
+member, gives each row's screened minimum est as an elementwise minimum,
+and the row's exact minimum lies in ``[est - 2B, est + 2B]``. Rows whose
+upper end is below the largest lower end cannot hold the maximum; the few
+rows left go through ``_nearest_sq``, so the result is exact.
 
 Exact row dedup, of grid cells and of coordinates alike, is one routine,
 ``first_occurrences``, built on sorting rather than ``np.unique``: one
@@ -136,6 +143,28 @@ def sq_dists_to_point(coords: np.ndarray, point: np.ndarray) -> np.ndarray:
     """Squared distances from every row of coords to one point."""
     diff = coords - point
     return np.einsum("ij,ij->i", diff, diff)
+
+
+def column_extents(coords: np.ndarray):
+    """(min, max) of each column of a nonempty 2-D array, exactly.
+
+    An axis-0 reduction of a tall, narrow C-ordered array walks it with a
+    stride of d values, ten to twenty times slower than a flat pass. So the
+    leading rows are viewed as rows of about 1024 values, reduced over axis
+    0 as whole contiguous rows, and folded back to d columns; the tail rows
+    that do not fill a view row are merged after.
+    """
+    arr = np.ascontiguousarray(coords)
+    n, d = arr.shape
+    group = max(1, 1024 // d)
+    if n <= group:
+        return arr.min(axis=0), arr.max(axis=0)
+    lead = n - n % group
+    wide = arr[:lead].reshape(-1, group * d)
+    tail = arr[lead:]
+    lo = np.vstack([wide.min(axis=0).reshape(group, d), tail]).min(axis=0)
+    hi = np.vstack([wide.max(axis=0).reshape(group, d), tail]).max(axis=0)
+    return lo, hi
 
 
 def dist_to_set(point, subset, dataset: Dataset):
@@ -275,6 +304,39 @@ def _exact_sq(points: np.ndarray, members: np.ndarray, rows, cols) -> np.ndarray
     return out
 
 
+def _screen_frame(members: np.ndarray):
+    """(origin, screen_by, bound, base) of the GEMM screen over the members.
+
+    Both screens translate points and members to the midpoint o of the
+    members' bounding box, so x and c below are x - o and c - o. screen_by
+    is the (d + 1) x m matrix [-2 c^T; |c|^2]: a point row [x, 1] times it
+    gives h_j = -2 x.c_j + |c_j|^2, which differs from the exact value e_j
+    (sq_dists_to_point of the untranslated rows) minus |x|^2 by at most
+    B = bound |x|^2 + base.
+
+    Proof, with u = eps / 2. The GEMM over d + 1 terms is off from
+    |x - c_j|^2 - |x|^2 by at most (3d + 2) u (|x|^2 + |c_j|^2): the term
+    sum plus the rounding of |c_j|^2. Rounding the translation moves
+    |x - c_j|^2 by at most 4u (|x|^2 + |c_j|^2). The exact value, the
+    rounded sum of squared rounded differences, is off by at most (d + 2) u
+    |x - c_j|^2 <= (2d + 4) u (|x|^2 + |c_j|^2). That is (5d + 10) u in
+    all, below bound = 8 (d + 2) eps = (16d + 32) u times |x|^2 + max |c|^2;
+    base also carries (d + 2) tiny for underflow. The margin left, over
+    (10d + 20) u, covers the callers' own roundings: computing |x|^2 (d u)
+    and adding it to a screen value (2u), and the thresholds they build
+    from B (a few u).
+    """
+    d = members.shape[1]
+    origin = members.min(axis=0) * 0.5 + members.max(axis=0) * 0.5
+    centered = members - origin
+    cc = np.einsum("ij,ij->i", centered, centered)
+    # points carry a trailing 1 so that the GEMM also adds |c|^2
+    screen_by = np.vstack([-2.0 * centered.T, cc])
+    bound = 8.0 * (d + 2) * _EPS
+    base = (d + 2) * _TINY + bound * cc.max()
+    return origin, screen_by, bound, base
+
+
 def _nearest_sq(points: np.ndarray, members: np.ndarray):
     """(position of the nearest member, its squared distance) for every row.
 
@@ -283,21 +345,12 @@ def _nearest_sq(points: np.ndarray, members: np.ndarray):
     wins. A later copy of a member never wins, so the screen runs on the
     first occurrence of each distinct member alone.
 
-    Screening bound. Points and members are translated to the midpoint o of
-    the members' bounding box, so x and c below are x - o and c - o, and
-    u = eps / 2. The screen h_j = -2 x.c_j + |c_j|^2, one GEMM over d + 1
-    terms, is off from |x - c_j|^2 - |x|^2 by at most (3d + 2) u (|x|^2 +
-    |c_j|^2): the d + 1 term sum plus the rounding of |c_j|^2. Rounding the
-    translation moves |x - c_j|^2 by at most 4u (|x|^2 + |c_j|^2). The
-    exact value, the rounded sum of squared rounded differences, is off by
-    at most (d + 2) u |x - c_j|^2 <= (2d + 4) u (|x|^2 + |c_j|^2). With 2u
-    for rounding the threshold the total is (5d + 12) u, below the bound
-    used, the checker's 8 (d + 2) eps (|x|^2 + max |c|^2), plus (d + 2)
-    tiny for underflow. A member whose screen exceeds the row's minimum by
-    twice that bound is therefore strictly farther than the screened
-    winner. Rows with another member inside the window are re-checked on
-    exact values over the members inside it; a NaN screen (overflowed
-    coordinates) keeps every member of its row inside.
+    Each block's screen is row-major, one row per point. By _screen_frame's
+    bound, a member whose screen exceeds the row's minimum by more than 2B
+    is strictly farther than the screened winner. Rows with another member
+    inside that window are re-checked on exact values over the members
+    inside it; a NaN screen (overflowed coordinates) keeps every member of
+    its row inside.
     """
     keep = first_occurrences(members)[1]
     members = members[keep]
@@ -305,13 +358,7 @@ def _nearest_sq(points: np.ndarray, members: np.ndarray):
     m = members.shape[0]
     best = np.empty(n)
     arg = np.empty(n, dtype=np.int64)
-    origin = members.min(axis=0) * 0.5 + members.max(axis=0) * 0.5
-    centered = members - origin
-    cc = np.einsum("ij,ij->i", centered, centered)
-    # points carry a trailing 1 so that the GEMM also adds |c|^2
-    screen_by = np.vstack([-2.0 * centered.T, cc])
-    bound = 8.0 * (d + 2) * _EPS
-    base = (d + 2) * _TINY + bound * cc.max()
+    origin, screen_by, bound, base = _screen_frame(members)
     step = max(1, min(n, _BLOCK_ELEMS // (m + d)))
     shifted = np.ones((step, d + 1))
     screen = np.empty((step, m))
@@ -342,6 +389,51 @@ def _nearest_sq(points: np.ndarray, members: np.ndarray):
     return keep[arg], best
 
 
+def _farthest_sq(points: np.ndarray, members: np.ndarray) -> float:
+    """Max over rows of the squared distance to the nearest member, exactly.
+
+    The same value as _nearest_sq(points, members)[1].max(), without the
+    per-row nearest member. Each block's screen is member-major, one row per
+    member, so a row's screened minimum est = min_j h_j + |x|^2 is an
+    elementwise minimum over contiguous member rows. By _screen_frame's
+    bound every h_j + |x|^2 lies within B of e_j, so est lies within B of
+    the row's exact minimum, and within 2B once the roundings of |x|^2 and
+    of the addition are counted: the row's exact minimum lies in
+    [est - 2B, est + 2B]. The floor, the largest finite lower end over all
+    rows, is at most the largest exact minimum, and the row holding that
+    one has an upper end at or above it. So the rows whose upper end is not
+    below the floor include the farthest row, and the exact kernel on them
+    alone returns the same maximum. A screen that overflowed (an infinite or
+    NaN est, which large finite coordinates can give even where the exact
+    distance is finite) bounds nothing, so its row gets an infinite upper
+    end and stays.
+    """
+    n, d = points.shape
+    m = members.shape[0]
+    origin, screen_by, bound, base = _screen_frame(members)
+    by_member = screen_by.T
+    column = origin[:, None]
+    step = max(1, min(n, _BLOCK_ELEMS // (m + d)))
+    # points go in as columns, so the translation and |x|^2 run along rows
+    # of the block rather than along rows of d values
+    shifted = np.ones((d + 1, step))
+    screen = np.empty(m * step)
+    top = np.empty(n)
+    floor = -np.inf
+    for s in range(0, n, step):
+        b = min(step, n - s)
+        xo = np.subtract(points[s:s + b].T, column, out=shifted[:d, :b])
+        h = np.matmul(by_member, shifted[:, :b], out=screen[:m * b].reshape(m, b))
+        xx = np.einsum("ij,ij->j", xo, xo)
+        est = h.min(axis=0) + xx
+        slack = 2.0 * (bound * xx + base)
+        low = est - slack
+        floor = max(floor, float(np.max(low, where=np.isfinite(low), initial=-np.inf)))
+        top[s:s + b] = np.where(np.isfinite(est), est + slack, np.inf)
+    rows = np.flatnonzero(np.logical_not(top < floor))
+    return _nearest_sq(points[rows], members)[1].max()
+
+
 def min_sq_dists(dataset: Dataset, centers) -> np.ndarray:
     """Per-row squared distance to the nearest center.
 
@@ -352,5 +444,9 @@ def min_sq_dists(dataset: Dataset, centers) -> np.ndarray:
 
 
 def cost(dataset: Dataset, centers) -> float:
-    """Max over all rows of the distance to the nearest center."""
-    return float(np.sqrt(min_sq_dists(dataset, centers).max()))
+    """Max over all rows of the distance to the nearest center.
+
+    Exactly sqrt(min_sq_dists(dataset, centers).max()), from a screen that
+    sends only the candidates for the farthest row to the exact kernel.
+    """
+    return float(np.sqrt(_farthest_sq(dataset.coords, _center_rows(dataset, centers))))

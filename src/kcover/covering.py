@@ -33,6 +33,7 @@ from .core import (
     STREAM_UNIFORM_SAMPLE,
     ConstructionFailedError,
     Dataset,
+    column_extents,
     first_occurrences,
     rng_stream,
     row_keys,
@@ -136,7 +137,8 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
     the first that did keep each midpoint that fits.
     """
     coords = dataset.coords
-    extent = coords.max(axis=0) - coords.min(axis=0)
+    lo, hi = column_extents(coords)
+    extent = hi - lo
     spread = float(extent.max())
     sizes: list[int] = []
 

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from kcover import core
 from kcover.core import (
     Dataset,
+    column_extents,
     cost,
     dist,
     dist_to_set,
@@ -235,6 +236,33 @@ def test_first_occurrences_with_colliding_keys(monkeypatch):
 def test_sorted_distinct_matches_unique(values):
     values = np.array(values, dtype=np.int64)
     assert sorted_distinct(values).tolist() == np.unique(values).tolist()
+
+
+@pytest.mark.parametrize("shape", [
+    (1000 + 7, 2),   # n not a multiple of the 512-row group
+    (1, 3),
+    (5000, 1),
+    (3, 1500),       # d > 1024, so a group is one row
+    (2048, 8),       # n a multiple of the group, no tail
+    (100, 20),       # fewer rows than one group
+])
+def test_column_extents_match_axis_reductions(shape):
+    rng = np.random.default_rng(shape[0] * 7 + shape[1])
+    coords = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape[1])
+    lo, hi = column_extents(coords)
+    assert np.array_equal(lo, coords.min(axis=0))
+    assert np.array_equal(hi, coords.max(axis=0))
+    assert lo.shape == hi.shape == (shape[1],)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 1200), st.integers(1, 4)),
+                  elements=st.sampled_from([-3.5, -1.0, -0.0, 0.0, 2.0, 1e300, -1e-300])))
+def test_column_extents_mixed_signs(coords):
+    # compared by value: a column of 0.0 and -0.0 may report either
+    lo, hi = column_extents(coords)
+    assert np.array_equal(lo, coords.min(axis=0))
+    assert np.array_equal(hi, coords.max(axis=0))
 
 
 def test_min_sq_dists_matches_direct_computation():

@@ -1,14 +1,17 @@
-"""The blocked nearest-member kernel against the per-member loop it replaced.
+"""The blocked nearest-member kernels against the per-member loop they replaced.
 
-min_sq_dists (hence cost), ExactOracle.query_many and query, and
-dist_to_set must return exactly what one sq_dists_to_point pass per member
-returns: the same squared distances bit for bit, exact zeros for coincident
-rows, and the lowest member position on exact ties.
+min_sq_dists, ExactOracle.query_many and query, and dist_to_set must
+return exactly what one sq_dists_to_point pass per member returns: the same
+squared distances bit for bit, exact zeros for coincident rows, and the
+lowest member position on exact ties. cost screens for the farthest row
+and must return the square root of the largest of those distances, bit for
+bit.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,6 +58,117 @@ def test_min_sq_dists_equals_per_center_loop(inst, cap):
         got = min_sq_dists(data, members)
     assert np.array_equal(got, want)
     assert np.all(got[members] == 0.0)
+
+
+def loop_cost(points, members):
+    """cost's reference: the largest per-member-loop distance."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sqrt(nearest_member_loop(points, members)[1].max()))
+
+
+def count_exact_rows(monkeypatch):
+    """Record the number of rows each _nearest_sq call gets."""
+    sizes = []
+    nearest_sq = core._nearest_sq
+
+    def counting(points, members):
+        sizes.append(points.shape[0])
+        return nearest_sq(points, members)
+
+    monkeypatch.setattr(core, "_nearest_sq", counting)
+    return sizes
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(), st.sampled_from(BLOCK_CAPS))
+def test_cost_equals_max_of_per_member_loop(inst, cap):
+    points, members, _ = inst
+    data = Dataset(points)
+    want = loop_cost(data.coords, data.coords[members])
+    with mock.patch.object(core, "_BLOCK_ELEMS", cap):
+        got = cost(data, members)
+    assert got == want
+
+
+@pytest.mark.parametrize("cap", BLOCK_CAPS)
+def test_cost_all_rows_coincident(monkeypatch, cap):
+    # every row's bracket holds the floor, so every row goes to the exact kernel
+    data = Dataset(np.full((300, 4), 1e8 + 0.1))
+    sizes = count_exact_rows(monkeypatch)
+    monkeypatch.setattr(core, "_BLOCK_ELEMS", cap)
+    assert cost(data, [0, 5, 299]) == 0.0
+    assert sizes == [300]
+
+
+def test_cost_single_row_and_k_equals_n():
+    assert cost(Dataset([[2.5]]), [0]) == 0.0
+    assert cost(Dataset([[2.5]]), np.array([[-1.5]])) == 4.0
+    rng = np.random.default_rng(5)
+    data = Dataset(rng.normal(size=(200, 3)))
+    assert cost(data, np.arange(200)) == 0.0
+    line = Dataset(rng.integers(-9, 10, size=(40, 1)) * 0.5)
+    for k in (1, 3, 40):
+        assert cost(line, np.arange(k)) == loop_cost(line.coords, line.coords[:k])
+
+
+@pytest.mark.parametrize("cap", BLOCK_CAPS)
+def test_cost_at_large_offset(cap):
+    rng = np.random.default_rng(13)
+    points = rng.normal(size=(3000, 5)) + 1e8
+    members = rng.choice(3000, size=40, replace=False)
+    with mock.patch.object(core, "_BLOCK_ELEMS", cap):
+        got = cost(Dataset(points), members)
+    assert got == loop_cost(points, points[members])
+
+
+@pytest.mark.parametrize("cap", BLOCK_CAPS)
+def test_cost_where_the_screen_overflows(cap):
+    # members at +-1e160: |c - o|^2 overflows, so every screen value is inf
+    # or NaN while the exact distances to the near member stay finite
+    rng = np.random.default_rng(17)
+    step = rng.integers(-50, 51, size=(400, 3)) * 1e145
+    points = np.vstack([1e160 + step[:200], -1e160 + step[200:]])
+    members = [0, 200]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            mock.patch.object(core, "_BLOCK_ELEMS", cap):
+        got = cost(Dataset(points), members)
+        one_sided = cost(Dataset(points), [0])
+    assert np.isfinite(got) and got == loop_cost(points, points[members])
+    assert one_sided == np.inf == loop_cost(points, points[[0]])
+    # |x|^2 and |c|^2 stay finite, but -2 x.c overflows, so the far row's
+    # screen is -inf while its exact distance is finite; the two rows on
+    # the members set a floor near 0 that the far row must not be cut by
+    line = np.array([[-0.75e154], [0.75e154], [1.3e154]])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            mock.patch.object(core, "_BLOCK_ELEMS", cap):
+        got = cost(Dataset(line), [0, 1])
+    assert got == loop_cost(line, line[:2]) and got > 0.5e154
+
+
+@pytest.mark.parametrize("cap", BLOCK_CAPS)
+def test_cost_rows_on_a_sphere(cap):
+    # unit distance from the nearest member up to rounding, with members
+    # 2e3 apart: the screen's rounding (about eps * 1e6) exceeds the spread
+    # of the exact distances, so only their exact values find the farthest
+    rng = np.random.default_rng(23)
+    step = rng.normal(size=(2000, 6))
+    step /= np.linalg.norm(step, axis=1, keepdims=True)
+    members = np.zeros((2, 6))
+    members[:, 0] = [-1e3, 1e3]
+    points = np.vstack([members, members[1] + step])
+    with mock.patch.object(core, "_BLOCK_ELEMS", cap):
+        got = cost(Dataset(points), [0, 1])
+    assert got == loop_cost(points, members)
+
+
+def test_cost_sends_few_rows_to_the_exact_kernel(monkeypatch):
+    rng = np.random.default_rng(19)
+    data = Dataset(rng.uniform(size=(20_000, 2)))
+    centers = rng.choice(20_000, size=32, replace=False)
+    sizes = count_exact_rows(monkeypatch)
+    got = cost(data, centers)
+    assert got == loop_cost(data.coords, data.coords[centers])
+    assert sum(sizes) < 0.01 * data.n
 
 
 @settings(max_examples=300, deadline=None)
