@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .core import ConstructionFailedError, Dataset, cost
+from .core import ConstructionFailedError, Dataset, cost, index_subset
 from .covering import (
     HashCoveringConfig,
     build_covering_hash,
@@ -136,7 +136,9 @@ def _cmd_solve(args) -> int:
     k = _default_k(args, data.n)
     if args.coreset is not None:
         with open(args.coreset) as fh:
-            rows = np.asarray(json.load(fh)["indices"], dtype=np.int64)
+            rows = index_subset(json.load(fh)["indices"], data.n)
+        # take() solves on the canonical (sorted, distinct) rows, so centers
+        # map back through the same canonical list
         sub = data.take(rows)
         sol = gonzalez(sub, k, start_index=args.start)
         centers = [int(rows[c]) for c in sol.centers]

@@ -3,8 +3,8 @@
 Distances are computed on squared values internally; square roots are taken
 only at API boundaries, so exact zeros for coincident rows survive.
 
-Nearest-member queries (``min_sq_dists`` and the exact oracle) run through
-one blocked kernel, ``_nearest_sq``. It screens members with a GEMM,
+Nearest-member queries of the exact oracle run through one blocked
+kernel, ``_nearest_sq``. It screens members with a GEMM,
 ``|x|^2 - 2 x.c + |c|^2``, on points and members translated to the midpoint
 of the members' bounding box (``_screen_frame``, which also derives the
 rounding bound B = ``8 (d + 2) eps (|x|^2 + max |c|^2)``). Then it
@@ -108,9 +108,6 @@ class Dataset:
     def d(self) -> int:
         return self.coords.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.coords[i]
-
     def take(self, indices) -> "Dataset":
         """New Dataset from the given rows (copies the selected coordinates)."""
         idx = index_subset(indices, self.n)
@@ -128,15 +125,6 @@ def index_subset(indices, n) -> np.ndarray:
     if idx.min() < 0 or idx.max() >= n:
         raise ValueError(f"indices must lie in [0, {n})")
     return sorted_distinct(idx)
-
-
-def dist(p, q) -> float:
-    p = np.asarray(p, dtype=np.float64).ravel()
-    q = np.asarray(q, dtype=np.float64).ravel()
-    if p.shape != q.shape:
-        raise ValueError("points must have equal dimension")
-    diff = p - q
-    return float(np.sqrt(np.dot(diff, diff)))
 
 
 def sq_dists_to_point(coords: np.ndarray, point: np.ndarray) -> np.ndarray:
@@ -165,25 +153,6 @@ def column_extents(coords: np.ndarray):
     lo = np.vstack([wide.min(axis=0).reshape(group, d), tail]).min(axis=0)
     hi = np.vstack([wide.max(axis=0).reshape(group, d), tail]).max(axis=0)
     return lo, hi
-
-
-def dist_to_set(point, subset, dataset: Dataset):
-    """Distance from a point to its nearest member of a row subset.
-
-    Returns (distance, original row index of the nearest member); ties are
-    broken toward the lowest original index.
-    """
-    idx = np.asarray(subset, dtype=np.int64).ravel()
-    if idx.size == 0:
-        raise ValueError("subset must be nonempty")
-    if idx.min() < 0 or idx.max() >= dataset.n:
-        raise ValueError("subset indices out of range")
-    p = np.asarray(point, dtype=np.float64).ravel()
-    if p.shape[0] != dataset.d:
-        raise ValueError("point dimension does not match dataset")
-    rows = index_subset(idx, dataset.n)
-    pos, d2 = _nearest_sq(p[None], dataset.coords[rows])
-    return float(np.sqrt(d2[0])), int(rows[pos[0]])
 
 
 @functools.lru_cache(maxsize=64)
@@ -434,19 +403,11 @@ def _farthest_sq(points: np.ndarray, members: np.ndarray) -> float:
     return _nearest_sq(points[rows], members)[1].max()
 
 
-def min_sq_dists(dataset: Dataset, centers) -> np.ndarray:
-    """Per-row squared distance to the nearest center.
-
-    Exactly the minimum over centers of sq_dists_to_point, so a row that
-    coincides with a center gets 0.0.
-    """
-    return _nearest_sq(dataset.coords, _center_rows(dataset, centers))[1]
-
-
 def cost(dataset: Dataset, centers) -> float:
     """Max over all rows of the distance to the nearest center.
 
-    Exactly sqrt(min_sq_dists(dataset, centers).max()), from a screen that
-    sends only the candidates for the farthest row to the exact kernel.
+    Exactly the square root of the largest squared distance _nearest_sq
+    gives, so a row that coincides with a center counts as 0.0. A screen
+    sends only the candidates for the farthest row to that kernel.
     """
     return float(np.sqrt(_farthest_sq(dataset.coords, _center_rows(dataset, centers))))

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .core import STREAM_SWEEP, ConstructionFailedError, Dataset, rng_stream
 from .covering import HashCoveringConfig, build_covering_hash, low_dim_baseline, uniform_baseline
-from .dimred import apply_jl, build_jl_map, jl_target_dim
+from .dimred import jl_project, jl_target_dim
 from .sampling import SampleCoveringConfig, build_covering_sample
 from .solver import evaluate_on_full, gonzalez
 
@@ -70,10 +70,6 @@ REPORT_COLUMNS = (
 
 TIMING_COLUMNS = frozenset({"buildSeconds", "solveSeconds", "totalSeconds"})
 
-_INT_COLUMNS = {"n", "d", "dPrime", "k", "budgetRequested", "coresetSizeActual",
-                "seed", "trial"}
-_STR_COLUMNS = {"datasetName", "method"}
-
 
 def default_budgets(k: int, n: int) -> tuple[int, ...]:
     grid = sorted({min(m * k, n) for m in DEFAULT_BUDGET_MULTIPLIERS})
@@ -118,18 +114,14 @@ def run_sweep(dataset: Dataset, k: int | None = None, methods=("hash", "uniform"
         raise ValueError("k must lie in [1, n]")
     if budgets is None:
         budgets = default_budgets(k, n)
-    budgets = tuple(sorted({int(b) for b in budgets}))
-    if not budgets or budgets[0] < 1:
+    budgets = [int(b) for b in budgets]
+    if not budgets or min(budgets) < 1:
         raise ValueError("budgets must be positive")
-    budgets = tuple(min(b, n) for b in budgets)
-    budgets = tuple(sorted(set(budgets)))
+    budgets = tuple(sorted({min(b, n) for b in budgets}))
 
     d_prime = jl_dim if jl_dim is not None else jl_target_dim(dataset.d, n, jl_eps)
     d_prime = min(d_prime, dataset.d)
-    if d_prime < dataset.d:
-        work = apply_jl(build_jl_map(dataset.d, n, jl_eps, seed, target_dim=d_prime), dataset)
-    else:
-        work = dataset
+    work = jl_project(dataset, d_prime, seed) if d_prime < dataset.d else dataset
 
     rows: list[ExperimentReport] = []
     bench = gonzalez(work, k, start_index=0)
@@ -238,23 +230,3 @@ def emit_report(reports, fmt: str = "csv", path=None) -> str:
     if path is not None:
         Path(path).write_text(text)
     return text
-
-
-def read_report_csv(path) -> list[ExperimentReport]:
-    """Load a CSV report back into ExperimentReport rows."""
-    attr_of = dict(REPORT_COLUMNS)
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for record in reader:
-            kwargs = {}
-            for col, value in record.items():
-                attr = attr_of[col]
-                if col in _STR_COLUMNS:
-                    kwargs[attr] = value
-                elif col in _INT_COLUMNS:
-                    kwargs[attr] = int(value)
-                else:
-                    kwargs[attr] = float(value)
-            out.append(ExperimentReport(**kwargs))
-    return out

@@ -86,18 +86,8 @@ def _int64_cells(h: GridHash):
                 f"cell indices overflow int64 at scale {h.scale:g}") from None
 
 
-def eval_hash(h: GridHash, x) -> tuple[int, ...]:
-    """Cell of one point: per-axis floor((x + shift) / side)."""
-    p = np.asarray(x, dtype=np.float64).ravel()
-    if p.shape[0] != h.dim:
-        raise ValueError("point dimension does not match the grid")
-    with _int64_cells(h):
-        cell = np.floor((p + h.shift) / h.side).astype(np.int64)
-    return tuple(int(c) for c in cell)
-
-
 def eval_hash_batch(h: GridHash, points) -> np.ndarray:
-    """Cells for many points at once; returns an (n, dim) int64 array."""
+    """Cells of the rows: per-axis floor((x + shift) / side), an (n, dim) int64 array."""
     coords = points.coords if isinstance(points, Dataset) else np.asarray(points, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != h.dim:
         raise ValueError("points must be an (n, dim) array matching the grid")

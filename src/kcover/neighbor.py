@@ -1,9 +1,10 @@
 """Exact nearest-member oracle over a row subset.
 
-A query returns (original row index of the nearest member, distance to
-it). Both come from the blocked kernel ``core._nearest_sq``, so they are
-exactly what one ``sq_dists_to_point`` pass per member gives: coincident
-rows are at 0.0 and exact ties go to the lowest row index.
+``query_many`` returns, for each query row, the original row index of its
+nearest member and the distance to it. Both come from the blocked kernel
+``core._nearest_sq``, so they are exactly what one ``sq_dists_to_point``
+pass per member gives: coincident rows are at 0.0 and exact ties go to the
+lowest row index.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ class ExactOracle:
     def __init__(self, dataset: Dataset, subset):
         self.built_on = index_subset(subset, dataset.n)
         self.members = dataset.coords[self.built_on]
-
-    def query(self, x):
-        idx, dists = self.query_many(np.asarray(x, dtype=np.float64).ravel()[None])
-        return int(idx[0]), float(dists[0])
 
     def query_many(self, points: np.ndarray):
         pos, d2 = _nearest_sq(np.asarray(points, dtype=np.float64), self.members)

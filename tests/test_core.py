@@ -11,16 +11,20 @@ from kcover.core import (
     Dataset,
     column_extents,
     cost,
-    dist,
-    dist_to_set,
     first_occurrences,
     index_subset,
-    min_sq_dists,
     rng_stream,
     sorted_distinct,
+    sq_dists_to_point,
 )
 
-from conftest import max_min_dist, nearest_member_loop
+from conftest import max_min_dist
+
+
+def dist(p, q) -> float:
+    """Euclidean distance of two points, through the kernels' reference."""
+    p = np.asarray(p, dtype=np.float64)
+    return float(np.sqrt(sq_dists_to_point(p[None], np.asarray(q, dtype=np.float64))[0]))
 
 
 def test_dist_3_4_5_triangle():
@@ -34,45 +38,6 @@ def test_dist_identity_is_zero():
 
 def test_dist_unit_cube_diagonal():
     assert dist([1, 1, 1], [2, 2, 2]) == pytest.approx(math.sqrt(3.0), rel=1e-12)
-
-
-def test_dist_dimension_mismatch():
-    with pytest.raises(ValueError):
-        dist([0.0], [0.0, 1.0])
-
-
-def test_dist_to_set_nearest_of_two():
-    data = Dataset([[1.0], [10.0]])
-    d, idx = dist_to_set([0.0], [0, 1], data)
-    assert d == 1.0 and idx == 0
-
-
-def test_dist_to_set_member_is_zero():
-    data = Dataset([[2.0, 2.0], [5.0, 5.0]])
-    d, idx = dist_to_set(data.row(1), [0, 1], data)
-    assert d == 0.0 and idx == 1
-
-
-def test_dist_to_set_brute_force_pair():
-    # p=5 against rows {0, 9}: nearest by direct comparison of both distances
-    data = Dataset([[0.0], [9.0]])
-    expected = min((abs(5.0 - v), i) for i, v in enumerate([0.0, 9.0]))
-    d, idx = dist_to_set([5.0], [0, 1], data)
-    assert (d, idx) == expected == (4.0, 1)
-
-
-def test_dist_to_set_tie_breaks_low_index():
-    data = Dataset([[1.0], [3.0], [1.0]])
-    d, idx = dist_to_set([2.0], [1, 2], data)
-    assert d == 1.0 and idx == 1
-    d, idx = dist_to_set([0.0], [0, 2], data)
-    assert d == 1.0 and idx == 0
-
-
-def test_dist_to_set_rejects_empty_subset():
-    data = Dataset([[0.0]])
-    with pytest.raises(ValueError):
-        dist_to_set([0.0], [], data)
 
 
 def test_cost_two_points_one_center():
@@ -263,19 +228,6 @@ def test_column_extents_mixed_signs(coords):
     lo, hi = column_extents(coords)
     assert np.array_equal(lo, coords.min(axis=0))
     assert np.array_equal(hi, coords.max(axis=0))
-
-
-def test_min_sq_dists_matches_direct_computation():
-    rng = np.random.default_rng(3)
-    ds = Dataset(rng.normal(size=(30, 4)))
-    centers = [4, 11, 25]
-    got = min_sq_dists(ds, np.asarray(centers))
-    assert np.array_equal(got, nearest_member_loop(ds.coords, ds.coords[centers])[1])
-    # the direct form sums squares in another order, so it agrees to rounding
-    want = np.min(
-        [((ds.coords - ds.coords[c]) ** 2).sum(axis=1) for c in centers], axis=0
-    )
-    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_rng_stream_determinism_and_isolation():

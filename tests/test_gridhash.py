@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from kcover.core import dist
 from kcover.gridhash import (
     GridHash,
     count_cells_intersecting_ball,
-    eval_hash,
     eval_hash_batch,
     sample_hash,
     zero_shift_hash,
@@ -75,19 +73,21 @@ def test_gridhash_constructor_validates():
 
 def test_eval_hash_zero_shift_floors():
     h = zero_shift_hash(2, math.sqrt(2.0))  # side 1
-    assert eval_hash(h, [0.2, 0.7]) == (0, 0)
-    assert eval_hash(h, [-0.1, 2.0]) == (-1, 2)
+    assert eval_hash_batch(h, np.array([[0.2, 0.7]])).tolist() == [[0, 0]]
+    assert eval_hash_batch(h, np.array([[-0.1, 2.0]])).tolist() == [[-1, 2]]
 
 
 def test_eval_hash_with_shift():
     h = GridHash(dim=1, scale=1.0, side=1.0, shift=np.array([0.5]), seed=0)
-    assert eval_hash(h, [0.6]) == (1,)  # floor(1.1)
+    assert eval_hash_batch(h, np.array([[0.6]])).tolist() == [[1]]  # floor(1.1)
 
 
 def test_eval_hash_dimension_mismatch():
     h = zero_shift_hash(2, 1.0)
     with pytest.raises(ValueError):
-        eval_hash(h, [0.0])
+        eval_hash_batch(h, np.array([[0.0]]))
+    with pytest.raises(ValueError):
+        eval_hash_batch(h, np.array([0.0, 1.0]))  # one point, but not as a row
 
 
 def test_eval_hash_batch_matches_single():
@@ -96,7 +96,7 @@ def test_eval_hash_batch_matches_single():
     pts = rng.normal(scale=4.0, size=(50, 3))
     batch = eval_hash_batch(h, pts)
     for i in range(50):
-        assert tuple(batch[i]) == eval_hash(h, pts[i])
+        assert batch[i].tolist() == eval_hash_batch(h, pts[i:i + 1])[0].tolist()
 
 
 def test_eval_hash_batch_duplicates_and_line():
@@ -112,7 +112,7 @@ def test_cell_index_overflow_raises():
     with pytest.raises(ValueError):
         eval_hash_batch(h, pts)
     with pytest.raises(ValueError):
-        eval_hash(h, pts[0])
+        eval_hash_batch(h, pts[:1])
     with pytest.raises(ValueError):
         count_cells_intersecting_ball(h, pts[0], 1e-13)
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -18,7 +19,6 @@ from kcover.experiment import (
     ExperimentReport,
     default_budgets,
     emit_report,
-    read_report_csv,
     run_sweep,
 )
 from kcover.solver import gonzalez
@@ -195,6 +195,12 @@ def sample_report(**overrides):
     return ExperimentReport(**base)
 
 
+def read_rows(path):
+    """A CSV report's rows as dicts of column name to cell text."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_emit_csv_layout(tmp_path):
     text = emit_report([sample_report()], fmt="csv")
     lines = text.splitlines()
@@ -208,7 +214,13 @@ def test_emit_csv_roundtrip(tmp_path):
     reports = [sample_report(trial=t, cost_on_full=1.0 + 0.1 * t) for t in range(3)]
     path = tmp_path / "report.csv"
     emit_report(reports, fmt="csv", path=path)
-    assert read_report_csv(path) == reports
+    records = read_rows(path)
+    assert len(records) == len(reports)
+    for record, report in zip(records, reports):
+        assert list(record) == [col for col, _ in REPORT_COLUMNS]
+        for col, attr in REPORT_COLUMNS:
+            value = getattr(report, attr)
+            assert type(value)(record[col]) == value, col
 
 
 def test_emit_json_field_names(tmp_path):
@@ -235,12 +247,12 @@ def test_sweep_csv_identical_modulo_timing(tmp_path):
         p = tmp_path / f"{tag}.csv"
         emit_report(rows, fmt="csv", path=p)
         paths.append(p)
-    first, second = (read_report_csv(p) for p in paths)
-    timing_attrs = {attr for col, attr in REPORT_COLUMNS if col in TIMING_COLUMNS}
+    first, second = (read_rows(p) for p in paths)
+    assert len(first) == len(second) == 2
     for ra, rb in zip(first, second):
-        for _, attr in REPORT_COLUMNS:
-            if attr not in timing_attrs:
-                assert getattr(ra, attr) == getattr(rb, attr)
+        for col, _ in REPORT_COLUMNS:
+            if col not in TIMING_COLUMNS:
+                assert ra[col] == rb[col], col
 
 
 # --- CLI -----------------------------------------------------------------
@@ -294,6 +306,22 @@ def test_cli_solve_without_coreset(tmp_path):
     assert len(json.loads(out.read_text())["centers"]) == 2
 
 
+def test_cli_solve_on_a_non_canonical_coreset(tmp_path):
+    # the coreset is solved on its sorted, distinct rows (0, 20, 100), so the
+    # centers map back through that order, not through the file's
+    data_path = tmp_path / "points.csv"
+    data_path.write_text("0\n10\n20\n30\n100\n")
+    for indices in ([4, 0, 2], [2, 4, 4, 0, 2]):
+        coreset_path = tmp_path / "coreset.json"
+        coreset_path.write_text(json.dumps({"indices": indices}))
+        out = tmp_path / "sol.json"
+        for k, centers in ((1, [0]), (2, [0, 4])):
+            rc = main(["solve", "--input", str(data_path), "--k", str(k),
+                       "--coreset", str(coreset_path), "--output", str(out)])
+            assert rc == 0
+            assert json.loads(out.read_text())["centers"] == centers, indices
+
+
 def test_cli_coreset_sample_method(tmp_path):
     data_path = synth_csv(tmp_path, n=120, k=2)
     out = tmp_path / "coreset.json"
@@ -312,10 +340,10 @@ def test_cli_sweep_csv(tmp_path):
                "--methods", "benchmark,hash,uniform", "--budgets", "2k,30",
                "--trials", "2", "--seed", "1", "--output", str(report_path)])
     assert rc == 0
-    rows = read_report_csv(report_path)
+    rows = read_rows(report_path)
     # benchmark once per trial, others per (budget, trial)
     assert len(rows) == 2 + 2 * 2 * 2
-    budgets = {r.budget_requested for r in rows if r.method == "hash"}
+    budgets = {int(r["budgetRequested"]) for r in rows if r["method"] == "hash"}
     assert budgets == {6, 30}  # "2k" means 2*k
 
 

@@ -1,9 +1,9 @@
 """The blocked nearest-member kernels against the per-member loop they replaced.
 
-min_sq_dists, ExactOracle.query_many and query, and dist_to_set must
-return exactly what one sq_dists_to_point pass per member returns: the same
-squared distances bit for bit, exact zeros for coincident rows, and the
-lowest member position on exact ties. cost screens for the farthest row
+core._nearest_sq and ExactOracle.query_many, the oracle's entry to it,
+must return exactly what one sq_dists_to_point pass per member returns: the
+same squared distances bit for bit, exact zeros for coincident rows, and
+the lowest member position on exact ties. cost screens for the farthest row
 and must return the square root of the largest of those distances, bit for
 bit.
 """
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcover import core
-from kcover.core import Dataset, cost, dist_to_set, min_sq_dists
+from kcover.core import Dataset, cost
 from kcover.neighbor import ExactOracle
 
 from conftest import nearest_member_loop
@@ -50,14 +50,16 @@ def instances(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(instances(), st.sampled_from(BLOCK_CAPS))
-def test_min_sq_dists_equals_per_center_loop(inst, cap):
+def test_nearest_sq_equals_per_member_loop(inst, cap):
     points, members, _ = inst
-    data = Dataset(points)
-    _, want = nearest_member_loop(data.coords, data.coords[members])
+    want_pos, want = nearest_member_loop(points, points[members])
     with mock.patch.object(core, "_BLOCK_ELEMS", cap):
-        got = min_sq_dists(data, members)
-    assert np.array_equal(got, want)
+        pos, got = core._nearest_sq(points, points[members])
+    assert np.array_equal(got, want) and np.array_equal(pos, want_pos)
     assert np.all(got[members] == 0.0)
+    # the direct form sums squares in another order, so it agrees to rounding
+    direct = np.min([((points - points[j]) ** 2).sum(axis=1) for j in members], axis=0)
+    np.testing.assert_allclose(got, direct, rtol=1e-12)
 
 
 def loop_cost(points, members):
@@ -180,18 +182,14 @@ def test_query_many_equals_per_member_loop(inst, cap):
     want_pos, want_d2 = nearest_member_loop(queries, oracle.members)
     with mock.patch.object(core, "_BLOCK_ELEMS", cap):
         idx, dists = oracle.query_many(queries)
-        singles = [oracle.query(q) for q in queries]
-        to_set = [dist_to_set(q, members, data) for q in queries]
     assert np.array_equal(idx, oracle.built_on[want_pos])
     assert np.array_equal(dists, np.sqrt(want_d2))
-    assert singles == list(zip(idx.tolist(), dists.tolist()))
-    assert to_set == list(zip(dists.tolist(), idx.tolist()))
 
 
 def test_coincident_rows_are_exactly_zero():
     coords = np.repeat([[0.1, 0.7, -3.3], [1e8 + 0.1, 2.0, 5.0]], 4, axis=0)
     data = Dataset(coords)
-    assert np.array_equal(min_sq_dists(data, [0, 4]), np.zeros(8))
+    assert np.array_equal(core._nearest_sq(coords, coords[[0, 4]])[1], np.zeros(8))
     assert cost(data, [3, 7]) == 0.0
     idx, dists = ExactOracle(data, [1, 2, 5]).query_many(coords)
     assert idx.tolist() == [1, 1, 1, 1, 5, 5, 5, 5]
@@ -205,12 +203,19 @@ def test_equidistant_members_lowest_index_wins():
     idx, dists = oracle.query_many(np.array([[0.0], [2.0], [1.0], [-1.0], [5.0]]))
     assert idx.tolist() == [0, 1, 1, 0, 2]
     assert dists.tolist() == [1.0, 1.0, 0.0, 0.0, 2.0]
+    # rows 1 and 2 tie at 2.0, and row 2 alone is at 0 from 1.0
+    data = Dataset([[1.0], [3.0], [1.0]])
+    idx, dists = ExactOracle(data, [1, 2]).query_many(np.array([[2.0], [1.0]]))
+    assert idx.tolist() == [1, 2] and dists.tolist() == [1.0, 0.0]
+    # members given unsorted, and equal members (rows 0 and 2): row 0 wins
+    idx, dists = ExactOracle(data, [2, 0]).query_many(np.array([[0.0], [1.0]]))
+    assert idx.tolist() == [0, 0] and dists.tolist() == [1.0, 0.0]
 
 
 def test_k_equals_n():
     rng = np.random.default_rng(4)
     data = Dataset(rng.normal(size=(257, 3)))
-    assert np.array_equal(min_sq_dists(data, np.arange(257)), np.zeros(257))
+    assert np.array_equal(core._nearest_sq(data.coords, data.coords)[1], np.zeros(257))
     idx, dists = ExactOracle(data, np.arange(257)).query_many(data.coords)
     assert np.array_equal(idx, np.arange(257))
     assert np.array_equal(dists, np.zeros(257))
@@ -229,7 +234,8 @@ def test_rows_across_many_blocks():
     data = Dataset(points)
     members = rng.choice(5003, size=300, replace=False)
     want_pos, want_d2 = nearest_member_loop(points, points[members])
-    assert np.array_equal(min_sq_dists(data, members), want_d2)
+    got_pos, got_d2 = core._nearest_sq(points, points[members])
+    assert np.array_equal(got_pos, want_pos) and np.array_equal(got_d2, want_d2)
     with mock.patch.object(core, "_BLOCK_ELEMS", 3000):
         got_pos, got_d2 = core._nearest_sq(points, points[members])
     assert np.array_equal(got_pos, want_pos) and np.array_equal(got_d2, want_d2)

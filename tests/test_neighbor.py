@@ -8,22 +8,24 @@ from kcover.neighbor import ExactOracle, build_oracle
 def test_exact_member_query_is_zero():
     data = Dataset(np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]]))
     oracle = build_oracle(data, [0, 1, 2])
-    idx, d = oracle.query(data.row(1))
-    assert (idx, d) == (1, 0.0)
+    idx, d = oracle.query_many(data.coords[1:2])
+    assert (idx.tolist(), d.tolist()) == ([1], [0.0])
 
 
 def test_exact_nearer_of_two():
     data = Dataset(np.array([[0.0], [10.0]]))
     oracle = ExactOracle(data, [0, 1])
-    idx, d = oracle.query([1.0])
-    assert (idx, d) == (0, 1.0)
+    idx, d = oracle.query_many(np.array([[1.0], [0.0], [5.0], [6.0]]))
+    # 5.0 is as far from row 0 as from row 1: the lower index wins
+    assert idx.tolist() == [0, 0, 0, 1]
+    assert d.tolist() == [1.0, 0.0, 5.0, 4.0]
 
 
 def test_exact_subset_indices_are_original():
     data = Dataset(np.arange(6, dtype=float).reshape(-1, 1))
     oracle = ExactOracle(data, [2, 5])
-    idx, d = oracle.query([4.9])
-    assert idx == 5 and d == pytest.approx(0.1)
+    idx, d = oracle.query_many(np.array([[4.9]]))
+    assert idx.tolist() == [5] and d[0] == pytest.approx(0.1)
 
 
 def test_exact_query_many_matches_single():
@@ -33,9 +35,9 @@ def test_exact_query_many_matches_single():
     queries = rng.normal(size=(25, 3))
     idx, dists = oracle.query_many(queries)
     for q in range(25):
-        one_idx, one_d = oracle.query(queries[q])
-        assert idx[q] == one_idx
-        assert dists[q] == pytest.approx(one_d, rel=1e-12)
+        one_idx, one_d = oracle.query_many(queries[q:q + 1])
+        assert idx[q] == one_idx[0]
+        assert dists[q] == one_d[0]
 
 
 def test_oracle_rejects_empty_subset():
