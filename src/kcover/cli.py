@@ -6,7 +6,7 @@ Subcommands:
             (hash, lowdim, sample or uniform; sample queries nearest
             members exactly)
   solve     greedy k-center on a dataset (optionally restricted to a coreset)
-  eval      cost of a stored solution on a dataset
+  eval      cost of a stored solution (center row indices) on a dataset
   sweep     method x budget x trial comparison grid, CSV or JSON report
 
 Exit codes: 0 ok, 2 invalid arguments, 3 construction failed, 4 I/O error.
@@ -31,7 +31,7 @@ from .covering import (
 from .datasets import SyntheticSpec, generate_synthetic, load_csv
 from .experiment import emit_report, run_sweep
 from .sampling import SampleCoveringConfig, build_covering_sample
-from .solver import evaluate_on_full, gonzalez
+from .solver import gonzalez
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -109,8 +109,7 @@ def _cmd_coreset(args) -> int:
                    "radiusBound": None}
     else:
         if args.method == "sample":
-            result = build_covering_sample(data, SampleCoveringConfig(
-                k=k, beta=args.beta, seed=args.seed))
+            result = build_covering_sample(data, SampleCoveringConfig(k=k, seed=args.seed))
         else:
             if args.budget is None:
                 raise ValueError(f"--budget is required for the {args.method} method")
@@ -146,7 +145,7 @@ def _cmd_solve(args) -> int:
         sol = gonzalez(data, k, start_index=args.start)
         centers = [int(c) for c in sol.centers]
     payload = {"k": k, "centers": centers, "costOnSolveSet": sol.cost_on_solve_set,
-               "solveSeconds": sol.wall_times["solve"]}
+               "solveSeconds": sol.solve_seconds}
     _write_json(args.output, payload)
     print(f"solved k={k}: cost {sol.cost_on_solve_set:.6g} "
           f"({len(centers)} centers) -> {args.output}")
@@ -157,8 +156,7 @@ def _cmd_eval(args) -> int:
     data = _load(args)
     with open(args.solution) as fh:
         payload = json.load(fh)
-    centers = np.asarray(payload["centers"], dtype=np.int64)
-    value = cost(data, centers)
+    value = cost(data, payload["centers"])
     print(f"cost on {data.n} points: {value:.10g}")
     return EXIT_OK
 
@@ -170,8 +168,7 @@ def _cmd_sweep(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     reports = run_sweep(data, k=k, methods=methods, budgets=budgets,
                         trials=args.trials, seed=args.seed,
-                        dataset_name=args.name, beta=args.beta,
-                        jl_dim=args.jl_dim)
+                        dataset_name=args.name, jl_dim=args.jl_dim)
     text = emit_report(reports, fmt=args.format, path=args.output)
     if args.output is None:
         sys.stdout.write(text)
@@ -208,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("hash", "sample", "uniform", "lowdim"),
                    default="hash")
     p.add_argument("--k", type=int, default=None, help="default: floor(sqrt(n))")
-    p.add_argument("--beta", type=float, default=2.0,
-                   help="radius factor of --method sample; other methods ignore it")
     p.add_argument("--budget", type=int, default=None,
                    help="coreset size for hash, lowdim and uniform")
     p.add_argument("--seed", type=int, default=0)
@@ -239,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budgets", default=None,
                    help="comma list; plain sizes or multiples like 8k (default 1k..30k)")
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--beta", type=float, default=2.0,
-                   help="radius factor of the sample method; other methods ignore it")
     p.add_argument("--jl-dim", type=int, default=None,
                    help="projection dimension (default: jl_target_dim at eps 0.5; "
                         "at most d)")

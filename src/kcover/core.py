@@ -246,21 +246,16 @@ def first_occurrences(rows, budget=None):
 
 
 def _center_rows(dataset: Dataset, centers) -> np.ndarray:
-    """Resolve centers given either as row indices or as explicit coordinates."""
+    """Coordinates of the center rows; any dtype but integer raises, never truncates."""
     arr = np.asarray(centers)
-    if arr.dtype.kind in "iu":
-        idx = arr.ravel().astype(np.int64)
-        if idx.size == 0:
-            raise ValueError("centers must be nonempty")
-        if idx.min() < 0 or idx.max() >= dataset.n:
-            raise ValueError("center indices out of range")
-        return dataset.coords[idx]
-    rows = np.asarray(arr, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows.reshape(1, -1)
-    if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != dataset.d:
-        raise ValueError("explicit centers must be a nonempty 2-D array matching d")
-    return rows
+    if arr.dtype.kind not in "iu":
+        raise ValueError("centers must be integer row indices")
+    idx = arr.ravel().astype(np.int64)
+    if idx.size == 0:
+        raise ValueError("centers must be nonempty")
+    if idx.min() < 0 or idx.max() >= dataset.n:
+        raise ValueError("center indices out of range")
+    return dataset.coords[idx]
 
 
 def _exact_sq(points: np.ndarray, members: np.ndarray, rows, cols) -> np.ndarray:
@@ -404,7 +399,7 @@ def _farthest_sq(points: np.ndarray, members: np.ndarray) -> float:
 
 
 def cost(dataset: Dataset, centers) -> float:
-    """Max over all rows of the distance to the nearest center.
+    """Max over all rows of the distance to the nearest center row.
 
     Exactly the square root of the largest squared distance _nearest_sq
     gives, so a row that coincides with a center counts as 0.0. A screen

@@ -89,15 +89,14 @@ def _ratio(value: float, benchmark: float) -> float:
 
 def run_sweep(dataset: Dataset, k: int | None = None, methods=("hash", "uniform"),
               budgets=None, trials: int = 3, seed: int = 0,
-              dataset_name: str = "dataset", beta: float = 2.0,
-              jl_dim: int | None = None,
-              jl_eps: float = DEFAULT_JL_EPS) -> list[ExperimentReport]:
+              dataset_name: str = "dataset",
+              jl_dim: int | None = None) -> list[ExperimentReport]:
     """Run the grid and return reports sorted by (method, budget, trial).
 
-    The working dimension is jl_dim, or jl_target_dim(d, n, jl_eps) when it
-    is None, and at most d. The projection to it happens once, before any
-    timer starts; the full-data benchmark solves the projected data too, so
-    build and solve timings compare like for like.
+    The working dimension is jl_dim, or jl_target_dim(d, n, DEFAULT_JL_EPS)
+    when it is None, and at most d. The projection to it happens once,
+    before any timer starts; the full-data benchmark solves the projected
+    data too, so build and solve timings compare like for like.
     """
     methods = tuple(dict.fromkeys(methods))
     if not methods:
@@ -119,14 +118,14 @@ def run_sweep(dataset: Dataset, k: int | None = None, methods=("hash", "uniform"
         raise ValueError("budgets must be positive")
     budgets = tuple(sorted({min(b, n) for b in budgets}))
 
-    d_prime = jl_dim if jl_dim is not None else jl_target_dim(dataset.d, n, jl_eps)
+    d_prime = jl_dim if jl_dim is not None else jl_target_dim(dataset.d, n, DEFAULT_JL_EPS)
     d_prime = min(d_prime, dataset.d)
     work = jl_project(dataset, d_prime, seed) if d_prime < dataset.d else dataset
 
     rows: list[ExperimentReport] = []
     bench = gonzalez(work, k, start_index=0)
     bench_cost = bench.cost_on_solve_set
-    bench_time = bench.wall_times["solve"]
+    bench_time = bench.solve_seconds
     if "benchmark" in methods:
         for trial in range(trials):
             rows.append(ExperimentReport(
@@ -142,14 +141,14 @@ def run_sweep(dataset: Dataset, k: int | None = None, methods=("hash", "uniform"
         for budget in budgets:
             for trial in range(trials):
                 rows.append(_run_cell(work, dataset, d_prime, k, method, budget,
-                                      trial, seed, dataset_name, beta, bench_cost))
+                                      trial, seed, dataset_name, bench_cost))
 
     rows.sort(key=lambda r: (r.method, r.budget_requested, r.trial))
     return rows
 
 
 def _run_cell(work: Dataset, original: Dataset, d_prime: int, k: int, method: str,
-              budget: int, trial: int, seed: int, dataset_name: str, beta: float,
+              budget: int, trial: int, seed: int, dataset_name: str,
               benchmark_cost: float) -> ExperimentReport:
     cell_seed = _cell_seed(seed, method, budget, trial)
     t0 = time.perf_counter()
@@ -164,7 +163,7 @@ def _run_cell(work: Dataset, original: Dataset, d_prime: int, k: int, method: st
         elif method == "uniform":
             subset = uniform_baseline(work, budget, cell_seed)
         elif method == "sample":
-            cfg = SampleCoveringConfig(k=k, beta=beta, seed=cell_seed)
+            cfg = SampleCoveringConfig(k=k, seed=cell_seed)
             subset = build_covering_sample(work, cfg).subset
         else:  # pragma: no cover - guarded by run_sweep validation
             raise ValueError(f"unknown method {method!r}")
@@ -183,14 +182,13 @@ def _run_cell(work: Dataset, original: Dataset, d_prime: int, k: int, method: st
 
     sub_dataset = work.take(subset)
     sol = gonzalez(sub_dataset, k, start_index=0)
-    solve_seconds = sol.wall_times["solve"]
     value = evaluate_on_full(work, subset, sol)
     total_seconds = time.perf_counter() - t0
     return ExperimentReport(
         dataset_name=dataset_name, n=original.n, d=original.d, d_prime=d_prime,
         k=k, method=method, budget_requested=budget,
         coreset_size_actual=int(subset.shape[0]), build_seconds=build_seconds,
-        solve_seconds=solve_seconds, total_seconds=total_seconds,
+        solve_seconds=sol.solve_seconds, total_seconds=total_seconds,
         cost_on_full=value, cost_ratio_vs_benchmark=_ratio(value, benchmark_cost),
         seed=seed, trial=trial)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,55 +20,50 @@ from .core import STREAM_GRID_SHIFT, Dataset, rng_stream
 _MAX_ENUMERATION = 1 << 24
 
 
+def _cell_side(dim: int, scale: float) -> float:
+    """Cell side scale / sqrt(dim), after checking both arguments."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError("scale must be positive and finite")
+    return scale / math.sqrt(dim)
+
+
 @dataclass(frozen=True)
 class GridHash:
-    """One realized grid: dimension, scale, derived cell side, and shift."""
+    """One realized grid: dimension, scale, shift, and the derived cell side."""
 
     dim: int
     scale: float
-    side: float
     shift: np.ndarray
-    seed: int
+    side: float = field(init=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError("scale must be positive and finite")
-        expect = self.scale / math.sqrt(self.dim)
-        if not math.isclose(self.side, expect, rel_tol=1e-12):
-            raise ValueError("side must equal scale / sqrt(dim)")
+        side = _cell_side(self.dim, self.scale)
+        object.__setattr__(self, "scale", float(self.scale))
         shift = np.asarray(self.shift, dtype=np.float64).ravel()
         if shift.shape[0] != self.dim:
             raise ValueError("shift must have one coordinate per axis")
-        if shift.min() < 0 or shift.max() >= self.side:
+        if shift.min() < 0 or shift.max() >= side:
             raise ValueError("shift coordinates must lie in [0, side)")
         shift.setflags(write=False)
         object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "side", side)
 
 
 def sample_hash(dim: int, scale: float, seed: int, stream: int = 0) -> GridHash:
     """Draw a fresh shifted grid; `stream` separates repeated draws per seed."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValueError("scale must be positive and finite")
-    side = scale / math.sqrt(dim)
+    side = _cell_side(dim, scale)
     rng = rng_stream(seed, STREAM_GRID_SHIFT, stream)
     shift = rng.uniform(0.0, side, size=dim)
     # uniform(0, side) can round to side itself in rare cases; fold back
     shift[shift >= side] = 0.0
-    return GridHash(dim=dim, scale=float(scale), side=side, shift=shift, seed=int(seed))
+    return GridHash(dim=dim, scale=scale, shift=shift)
 
 
 def zero_shift_hash(dim: int, scale: float) -> GridHash:
     """Axis-aligned grid with no shift (deterministic baseline variant)."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValueError("scale must be positive and finite")
-    side = scale / math.sqrt(dim)
-    return GridHash(dim=dim, scale=float(scale), side=side, shift=np.zeros(dim), seed=0)
+    return GridHash(dim=dim, scale=scale, shift=np.zeros(dim))
 
 
 @contextmanager

@@ -10,7 +10,7 @@ covering's rows costs only the sum of the two radii.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,11 +20,11 @@ from .covering import CoveringResult
 
 @dataclass(frozen=True)
 class CenterSolution:
-    """Chosen center rows (indices into the dataset solved on) and costs."""
+    """Chosen center rows (indices into the dataset solved on), cost and time."""
 
     centers: np.ndarray
     cost_on_solve_set: float
-    wall_times: dict = field(default_factory=dict)
+    solve_seconds: float
 
     def __post_init__(self):
         c = np.asarray(self.centers, dtype=np.int64)
@@ -65,9 +65,8 @@ def gonzalez(dataset: Dataset, k: int, start_index: int = 0) -> CenterSolution:
         picked += 1
         np.minimum(best, sq_dists_to_point(dataset.coords, dataset.coords[nxt]), out=best)
     solve_cost = float(np.sqrt(best.max()))
-    elapsed = time.perf_counter() - t0
     return CenterSolution(centers=np.sort(chosen), cost_on_solve_set=solve_cost,
-                          wall_times={"solve": elapsed})
+                          solve_seconds=time.perf_counter() - t0)
 
 
 def evaluate_on_full(dataset: Dataset, coreset_rows, solution: CenterSolution) -> float:
@@ -90,25 +89,20 @@ def evaluate_on_full(dataset: Dataset, coreset_rows, solution: CenterSolution) -
 
 def merge_coverings(dataset_a: Dataset, covering_a: CoveringResult,
                     dataset_b: Dataset, covering_b: CoveringResult):
-    """Union of two coverings.
+    """Union of two coverings of two shards of equal dimension.
 
-    For distinct datasets of equal dimension, returns (concatenated dataset,
-    covering of it) with B's indices offset by A's row count. When both
-    arguments are the same Dataset object the subsets are unioned in place,
-    so merging a covering with itself returns it unchanged.
-    Either way the radius bound is the larger of the two.
+    Returns (concatenated dataset, covering of it) with B's indices offset
+    by A's row count; the radius bound is the larger of the two.
     """
     if dataset_a.d != dataset_b.d:
         raise ValueError("datasets must have equal dimension")
-    radius = float(max(covering_a.radius_bound, covering_b.radius_bound))
-    stats = dict(tau_used=float(max(covering_a.tau_used, covering_b.tau_used)),
-                 sizes=tuple(covering_a.sizes) + tuple(covering_b.sizes))
-    if dataset_a is dataset_b:
-        subset = np.union1d(covering_a.subset, covering_b.subset)
-        return dataset_a, CoveringResult(subset=subset, radius_bound=radius, **stats)
     merged = Dataset(np.vstack([dataset_a.coords, dataset_b.coords]))
     subset = np.concatenate([covering_a.subset, covering_b.subset + dataset_a.n])
-    return merged, CoveringResult(subset=np.sort(subset), radius_bound=radius, **stats)
+    return merged, CoveringResult(
+        subset=np.sort(subset),
+        radius_bound=float(max(covering_a.radius_bound, covering_b.radius_bound)),
+        tau_used=float(max(covering_a.tau_used, covering_b.tau_used)),
+        sizes=tuple(covering_a.sizes) + tuple(covering_b.sizes))
 
 
 def reduce_covering(dataset: Dataset, outer: CoveringResult, inner_builder) -> CoveringResult:

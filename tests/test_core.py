@@ -41,8 +41,18 @@ def test_dist_unit_cube_diagonal():
 
 
 def test_cost_two_points_one_center():
-    data = Dataset([[0.0], [3.0]])
-    assert cost(data, [1.0]) == 2.0  # explicit center coordinates
+    data = Dataset([[0.0], [3.0], [1.0]])
+    assert cost(data, [2]) == 2.0  # the center is a row of its own
+
+
+def test_cost_rejects_non_integer_centers():
+    data = Dataset([[0.0], [1.0], [3.0]])
+    with pytest.raises(ValueError):
+        cost(data, [1.0])  # never truncated to row 1
+    with pytest.raises(ValueError):
+        cost(data, np.array([[1.0]]))
+    with pytest.raises(ValueError):
+        cost(data, np.array([True, False]))
 
 
 def test_cost_zero_when_centers_are_all_points():

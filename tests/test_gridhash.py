@@ -65,10 +65,15 @@ def test_sample_hash_rejects_bad_scale():
 
 
 def test_gridhash_constructor_validates():
+    assert GridHash(dim=4, scale=2.0, shift=np.zeros(4)).side == 1.0  # scale / sqrt(dim)
+    with pytest.raises(TypeError):
+        GridHash(dim=2, scale=1.0, side=1.0, shift=np.zeros(2))  # side is derived
     with pytest.raises(ValueError):
-        GridHash(dim=2, scale=1.0, side=1.0, shift=np.zeros(2), seed=0)  # wrong side
+        GridHash(dim=1, scale=1.0, shift=np.array([1.0]))  # shift = side
     with pytest.raises(ValueError):
-        GridHash(dim=1, scale=1.0, side=1.0, shift=np.array([1.0]), seed=0)  # shift = side
+        GridHash(dim=0, scale=1.0, shift=np.zeros(0))
+    with pytest.raises(ValueError):
+        GridHash(dim=1, scale=math.inf, shift=np.zeros(1))
 
 
 def test_eval_hash_zero_shift_floors():
@@ -78,7 +83,7 @@ def test_eval_hash_zero_shift_floors():
 
 
 def test_eval_hash_with_shift():
-    h = GridHash(dim=1, scale=1.0, side=1.0, shift=np.array([0.5]), seed=0)
+    h = GridHash(dim=1, scale=1.0, shift=np.array([0.5]))
     assert eval_hash_batch(h, np.array([[0.6]])).tolist() == [[1]]  # floor(1.1)
 
 

@@ -370,12 +370,26 @@ def test_cli_usage_errors(tmp_path, capsys):
     rc = main(["solve", "--input", str(data_path), "--columns", "9",
                "--output", str(tmp_path / "y.json")])
     assert rc == EXIT_USAGE
+    # center coordinates in place of row indices
+    solution_path = tmp_path / "coords.json"
+    solution_path.write_text(json.dumps({"centers": [1.5, 2.0]}))
+    rc = main(["eval", "--input", str(data_path), "--solution", str(solution_path)])
+    assert rc == EXIT_USAGE
     capsys.readouterr()
 
 
 def test_cli_argparse_rejects_unknown_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--input", "points.csv", "--bogus"])
+    assert err.value.code == EXIT_USAGE
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["coreset", "sweep"])
+def test_cli_has_no_beta_flag(capsys, command):
+    # the sample radius factor is fixed at 4, so --beta is an unknown flag
+    with pytest.raises(SystemExit) as err:
+        main([command, "--input", "points.csv", "--output", "c.json", "--beta", "2"])
     assert err.value.code == EXIT_USAGE
     capsys.readouterr()
 

@@ -104,7 +104,7 @@ def test_cost_all_rows_coincident(monkeypatch, cap):
 
 def test_cost_single_row_and_k_equals_n():
     assert cost(Dataset([[2.5]]), [0]) == 0.0
-    assert cost(Dataset([[2.5]]), np.array([[-1.5]])) == 4.0
+    assert cost(Dataset([[2.5], [-1.5]]), [1]) == 4.0
     rng = np.random.default_rng(5)
     data = Dataset(rng.normal(size=(200, 3)))
     assert cost(data, np.arange(200)) == 0.0

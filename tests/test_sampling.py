@@ -110,7 +110,7 @@ def test_k_equals_n_covering_sound():
 
 def test_planted_four_clusters_bounds():
     data = planted_clusters(n=400, k=4, d=2, spread=1.0, separation=100.0, seed=3)
-    cfg = SampleCoveringConfig(k=4, beta=1.0, seed=5)
+    cfg = SampleCoveringConfig(k=4, seed=5)
     result = build_covering_sample(data, cfg)
     opt_ref = gonzalez(data, 4).cost_on_solve_set
     m = batch_size(400, 4)
@@ -127,7 +127,7 @@ def test_covering_sound_on_random_instances():
         d = int(rng.integers(1, 6))
         k = int(rng.integers(1, 8))
         data = Dataset(rng.normal(scale=5.0, size=(n, d)))
-        cfg = SampleCoveringConfig(k=k, beta=2.0, seed=trial)
+        cfg = SampleCoveringConfig(k=k, seed=trial)
         result = build_covering_sample(data, cfg)
         assert covering_ok(data.coords, result.subset, result.radius_bound)
         assert result.radius_bound == pytest.approx(4.0 * result.tau_used)
@@ -137,7 +137,7 @@ def test_subset_size_loop_accounting():
     data = planted_clusters(n=500, k=3, seed=9)
     cfg = SampleCoveringConfig(k=3, seed=1)
     result = build_covering_sample(data, cfg)
-    scales = ascending_scales(data, 3, 1, 2.0 * cfg.beta)
+    scales = ascending_scales(data, 3, 1, 4.0)  # radius bound 4 tau
     bound = scales * round_budget(500) * batch_size(500, 3)
     assert result.size <= bound
 
@@ -150,14 +150,13 @@ def test_halving_frequency_at_good_radius():
     tau = gonzalez(data, k).cost_on_solve_set
     halved = 0
     for seed in range(500):
-        cfg = SampleCoveringConfig(k=k, beta=1.0, seed=seed)
         m = batch_size(n, k)
         batch = sample_with_replacement(np.arange(n), m, seed, stream=(0, 0))
         from kcover.neighbor import ExactOracle
 
         oracle = ExactOracle(data, batch)
         _, dists = oracle.query_many(data.coords)
-        left = int(np.count_nonzero(dists > 2.0 * cfg.beta * tau))
+        left = int(np.count_nonzero(dists > 2.0 * tau))
         halved += left <= n // 2
     assert halved / 500 >= 0.45
 
@@ -169,8 +168,9 @@ def test_rounds_terminate_at_good_radius():
         data = planted_clusters(n=n, k=4, d=2, spread=1.0, separation=80.0,
                                 seed=100 + trial)
         tau = gonzalez(data, 4).cost_on_solve_set
-        cfg = SampleCoveringConfig(k=4, beta=1.0, seed=trial)
-        subset, _ = run_sampling_rounds(data, tau, cfg, tau_index=0)
+        cfg = SampleCoveringConfig(k=4, seed=trial)
+        # the rounds remove rows within 4 * (tau / 2) = 2 tau of a batch
+        subset, _ = run_sampling_rounds(data, tau / 2, cfg, tau_index=0)
         failures += subset is None
     assert failures <= 1
 
@@ -191,7 +191,5 @@ def test_config_validation():
         build_covering_sample(data, SampleCoveringConfig(k=0))
     with pytest.raises(ValueError):
         build_covering_sample(data, SampleCoveringConfig(k=6))
-    with pytest.raises(ValueError):
-        build_covering_sample(data, SampleCoveringConfig(k=1, beta=0.5))
     with pytest.raises(ValueError):
         build_covering_sample(data, SampleCoveringConfig(k=1, sample_constant=0.0))

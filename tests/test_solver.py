@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kcover.core import Dataset, cost
+from kcover.core import Dataset
 from kcover.covering import CoveringResult, HashCoveringConfig, build_covering_hash
 from kcover.solver import (
     evaluate_on_full,
@@ -137,14 +137,6 @@ def test_merge_with_singleton():
     merged, cov = merge_coverings(a, cov_a, point, trivial)
     assert covering_ok(merged.coords, cov.subset, cov.radius_bound)
     assert merged.coords[cov.subset.max()].tolist() == [100.0, -3.0]
-
-
-def test_merge_self_is_idempotent():
-    a, cov_a, _, _ = halves(11)
-    same, cov = merge_coverings(a, cov_a, a, cov_a)
-    assert same is a
-    assert cov.subset.tolist() == cov_a.subset.tolist()
-    assert cov.radius_bound == cov_a.radius_bound
 
 
 def test_merge_rejects_dimension_mismatch():
