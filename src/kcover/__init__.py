@@ -13,19 +13,15 @@ from .covering import (
     HashCoveringConfig,
     build_covering_hash,
     low_dim_baseline,
+    merge_coverings,
+    reduce_covering,
     uniform_baseline,
 )
 from .datasets import CsvFormatError, SyntheticSpec, generate_synthetic, load_csv
 from .experiment import ExperimentReport, emit_report, run_sweep
 from .neighbor import ExactOracle
 from .sampling import SampleCoveringConfig, build_covering_sample
-from .solver import (
-    CenterSolution,
-    evaluate_on_full,
-    gonzalez,
-    merge_coverings,
-    reduce_covering,
-)
+from .solver import CenterSolution, evaluate_on_full, gonzalez
 
 __version__ = "0.1.0"
 

@@ -22,15 +22,8 @@ import sys
 import numpy as np
 
 from .core import ConstructionFailedError, Dataset, cost, index_subset
-from .covering import (
-    HashCoveringConfig,
-    build_covering_hash,
-    low_dim_baseline,
-    uniform_baseline,
-)
 from .datasets import SyntheticSpec, generate_synthetic, load_csv
-from .experiment import emit_report, run_sweep
-from .sampling import SampleCoveringConfig, build_covering_sample
+from .experiment import CORESET_METHODS, build_coreset, emit_report, run_sweep
 from .solver import gonzalez
 
 EXIT_OK = 0
@@ -100,33 +93,14 @@ def _cmd_synth(args) -> int:
 
 def _cmd_coreset(args) -> int:
     data = _load(args)
-    k = _default_k(args, data.n)
-    if args.method == "uniform":
-        if args.budget is None:
-            raise ValueError("--budget is required for the uniform method")
-        subset = uniform_baseline(data, args.budget, args.seed)
-        payload = {"method": "uniform", "indices": [int(i) for i in subset],
-                   "radiusBound": None}
-    else:
-        if args.method == "sample":
-            result = build_covering_sample(data, SampleCoveringConfig(k=k, seed=args.seed))
-        else:
-            if args.budget is None:
-                raise ValueError(f"--budget is required for the {args.method} method")
-            cfg = HashCoveringConfig(k=k, budget=args.budget, seed=args.seed)
-            build = build_covering_hash if args.method == "hash" else low_dim_baseline
-            result = build(data, cfg)
-        payload = {
-            "method": args.method,
-            "indices": [int(i) for i in result.subset],
-            "radiusBound": result.radius_bound,
-            "tauUsed": result.tau_used,
-            "iterations": result.iterations,
-            "sizes": list(result.sizes),
-        }
+    subset, result = build_coreset(args.method, data, _default_k(args, data.n),
+                                   args.budget, args.seed)
+    payload = {"method": args.method, "indices": subset.tolist(), "radiusBound": None}
+    if result is not None:
+        payload.update(radiusBound=result.radius_bound, tauUsed=result.tau_used,
+                       iterations=result.iterations, sizes=list(result.sizes))
     _write_json(args.output, payload)
-    size = len(payload["indices"])
-    print(f"coreset of {size} rows out of {data.n} written to {args.output}")
+    print(f"coreset of {subset.shape[0]} rows out of {data.n} written to {args.output}")
     return EXIT_OK
 
 
@@ -202,8 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coreset", help="build a coreset of a dataset")
     _add_input_args(p)
-    p.add_argument("--method", choices=("hash", "sample", "uniform", "lowdim"),
-                   default="hash")
+    p.add_argument("--method", choices=CORESET_METHODS, default="hash")
     p.add_argument("--k", type=int, default=None, help="default: floor(sqrt(n))")
     p.add_argument("--budget", type=int, default=None,
                    help="coreset size for hash, lowdim and uniform")

@@ -18,6 +18,10 @@ tau (unshifted for low_dim_baseline) and keeps one representative per
 occupied cell. A scale fits when its cell count is at most an explicit size
 budget, so the radius bound is the cell diameter tau; this mirrors how the
 construction is run when a target coreset size is known.
+
+Coverings compose: merge_coverings covers the concatenation of two shards
+at the larger of their radii, and reduce_covering re-covers a covering's
+rows at the sum of the two radii.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .core import (
     sorted_distinct,
 )
 from .gridhash import eval_hash_batch, sample_hash, zero_shift_hash
+from .solver import gonzalez
 
 # extra doublings granted in budget mode past the scale at which one cell
 # can hold the whole spread; termination there only needs one shift that
@@ -57,7 +62,7 @@ _ANCHOR_ROWS = 1000
 _MIN_RELATIVE_SCALE = 2.0**-40
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoveringResult:
     """Row subset plus the radius within which it covers the dataset.
 
@@ -88,6 +93,42 @@ class CoveringResult:
         return len(self.sizes)
 
 
+def merge_coverings(dataset_a: Dataset, covering_a: CoveringResult,
+                    dataset_b: Dataset, covering_b: CoveringResult):
+    """Union of two coverings of two shards of equal dimension.
+
+    Returns (concatenated dataset, covering of it) with B's indices offset
+    by A's row count; the radius bound is the larger of the two.
+    """
+    if dataset_a.d != dataset_b.d:
+        raise ValueError("datasets must have equal dimension")
+    merged = Dataset(np.vstack([dataset_a.coords, dataset_b.coords]))
+    subset = np.concatenate([covering_a.subset, covering_b.subset + dataset_a.n])
+    return merged, CoveringResult(
+        subset=np.sort(subset),
+        radius_bound=float(max(covering_a.radius_bound, covering_b.radius_bound)),
+        tau_used=float(max(covering_a.tau_used, covering_b.tau_used)),
+        sizes=tuple(covering_a.sizes) + tuple(covering_b.sizes))
+
+
+def reduce_covering(dataset: Dataset, outer: CoveringResult, inner_builder) -> CoveringResult:
+    """Re-cover a covering's rows and push the result back to the dataset.
+
+    inner_builder receives the Dataset of outer's rows and must return a
+    CoveringResult on it; the composed radius bound is the sum of the two.
+    """
+    sub_dataset = dataset.take(outer.subset)
+    inner = inner_builder(sub_dataset)
+    inner_subset = np.asarray(inner.subset, dtype=np.int64)
+    if inner_subset.size == 0 or inner_subset.min() < 0 or inner_subset.max() >= outer.subset.shape[0]:
+        raise ValueError("inner covering does not index into the outer subset")
+    final = np.sort(outer.subset[inner_subset])
+    return CoveringResult(subset=final,
+                          radius_bound=float(outer.radius_bound + inner.radius_bound),
+                          tau_used=inner.tau_used,
+                          sizes=tuple(inner.sizes))
+
+
 @dataclass(frozen=True)
 class HashCoveringConfig:
     k: int
@@ -104,8 +145,6 @@ def scale_anchor(dataset: Dataset, k: int, seed: int) -> float:
     whole dataset, so gonzalez(S) / 2 <= opt(S) <= opt. It is 0 exactly when
     S holds at most k distinct rows.
     """
-    from .solver import gonzalez  # solver imports CoveringResult from here
-
     n = dataset.n
     rows = min(n, max(_ANCHOR_ROWS, 4 * k))
     if rows < n:
@@ -125,7 +164,8 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
     The search starts from the certified anchor L = scale_anchor. When L is 0
     (the anchor sample holds at most k distinct rows), the exact-duplicate
     collapse is tried first and kept, at radius 0, unless it exceeds the
-    budget; otherwise the anchor is taken on the distinct rows.
+    budget; otherwise the anchor is taken on the distinct rows. A budget of
+    n or more skips the anchor and keeps the collapse.
 
     Without a budget (the sample construction), tau doubles from L, never
     below it, until a scale accepts or the radius bound reaches the
@@ -137,8 +177,8 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
     the first that did keep each midpoint that fits.
     """
     coords = dataset.coords
-    lo, hi = column_extents(coords)
-    extent = hi - lo
+    low, high = column_extents(coords)
+    extent = high - low
     spread = float(extent.max())
     sizes: list[int] = []
 
@@ -151,7 +191,9 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
         return CoveringResult(subset=subset, radius_bound=radius_factor * tau,
                               tau_used=float(tau), sizes=tuple(sizes))
 
-    anchor = scale_anchor(dataset, k, seed)
+    # a budget of n or more always fits the exact-duplicate collapse
+    fits_all = budget is not None and budget >= dataset.n
+    anchor = 0.0 if fits_all else scale_anchor(dataset, k, seed)
     if anchor == 0.0:
         reps = first_occurrences(coords)[1]
         sizes.append(reps.shape[0])
@@ -182,7 +224,8 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
     if lo is None:
         # the first scale fit: halve until one does not; below floor, cell
         # indices outgrow float resolution and int64
-        floor = _MIN_RELATIVE_SCALE * math.sqrt(dataset.d) * float(np.abs(coords).max())
+        largest = max(-float(low.min()), float(high.max()))
+        floor = _MIN_RELATIVE_SCALE * math.sqrt(dataset.d) * largest
         while True:
             lo = tau / 2.0
             if lo < floor:

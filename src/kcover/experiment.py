@@ -15,7 +15,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .core import STREAM_SWEEP, ConstructionFailedError, Dataset, rng_stream
@@ -27,7 +27,11 @@ from .solver import evaluate_on_full, gonzalez
 DEFAULT_BUDGET_MULTIPLIERS = (1, 2, 4, 8, 16, 30)
 DEFAULT_JL_EPS = 0.5
 
+# _cell_seed seeds each sweep cell from the method's position here, so
+# reordering the methods changes every sweep's output
 _METHODS = ("benchmark", "hash", "lowdim", "sample", "uniform")
+# the methods that build a coreset; all but sample need a budget
+CORESET_METHODS = _METHODS[1:]
 
 
 @dataclass(frozen=True)
@@ -49,24 +53,13 @@ class ExperimentReport:
     trial: int
 
 
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(word.capitalize() for word in rest)
+
+
 # (emitted column name, attribute) in emission order
-REPORT_COLUMNS = (
-    ("datasetName", "dataset_name"),
-    ("n", "n"),
-    ("d", "d"),
-    ("dPrime", "d_prime"),
-    ("k", "k"),
-    ("method", "method"),
-    ("budgetRequested", "budget_requested"),
-    ("coresetSizeActual", "coreset_size_actual"),
-    ("buildSeconds", "build_seconds"),
-    ("solveSeconds", "solve_seconds"),
-    ("totalSeconds", "total_seconds"),
-    ("costOnFull", "cost_on_full"),
-    ("costRatioVsBenchmark", "cost_ratio_vs_benchmark"),
-    ("seed", "seed"),
-    ("trial", "trial"),
-)
+REPORT_COLUMNS = tuple((_camel(f.name), f.name) for f in fields(ExperimentReport))
 
 TIMING_COLUMNS = frozenset({"buildSeconds", "solveSeconds", "totalSeconds"})
 
@@ -74,6 +67,27 @@ TIMING_COLUMNS = frozenset({"buildSeconds", "solveSeconds", "totalSeconds"})
 def default_budgets(k: int, n: int) -> tuple[int, ...]:
     grid = sorted({min(m * k, n) for m in DEFAULT_BUDGET_MULTIPLIERS})
     return tuple(grid)
+
+
+def build_coreset(method: str, dataset: Dataset, k: int, budget: int | None, seed: int):
+    """Build a coreset of the dataset with one of CORESET_METHODS.
+
+    Returns (sorted row subset, its CoveringResult), or (subset, None) for
+    the uniform sample, which certifies no radius. The sample method takes
+    no budget; the others raise ValueError without one.
+    """
+    if method not in CORESET_METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if budget is None and method != "sample":
+        raise ValueError(f"the {method} method needs a budget")
+    if method == "uniform":
+        return uniform_baseline(dataset, budget, seed), None
+    if method == "sample":
+        result = build_covering_sample(dataset, SampleCoveringConfig(k=k, seed=seed))
+    else:
+        build = build_covering_hash if method == "hash" else low_dim_baseline
+        result = build(dataset, HashCoveringConfig(k=k, budget=budget, seed=seed))
+    return result.subset, result
 
 
 def _cell_seed(seed: int, method: str, budget: int, trial: int) -> int:
@@ -122,82 +136,50 @@ def run_sweep(dataset: Dataset, k: int | None = None, methods=("hash", "uniform"
     d_prime = min(d_prime, dataset.d)
     work = jl_project(dataset, d_prime, seed) if d_prime < dataset.d else dataset
 
+    # a failed cell's row, apart from its method, budget, trial and times
+    base = ExperimentReport(
+        dataset_name=dataset_name, n=n, d=dataset.d, d_prime=d_prime, k=k,
+        method="benchmark", budget_requested=n, coreset_size_actual=0,
+        build_seconds=0.0, solve_seconds=0.0, total_seconds=0.0,
+        cost_on_full=math.nan, cost_ratio_vs_benchmark=math.nan, seed=seed, trial=0)
     rows: list[ExperimentReport] = []
     bench = gonzalez(work, k, start_index=0)
-    bench_cost = bench.cost_on_solve_set
-    bench_time = bench.solve_seconds
     if "benchmark" in methods:
-        for trial in range(trials):
-            rows.append(ExperimentReport(
-                dataset_name=dataset_name, n=n, d=dataset.d, d_prime=d_prime, k=k,
-                method="benchmark", budget_requested=n, coreset_size_actual=n,
-                build_seconds=0.0, solve_seconds=bench_time,
-                total_seconds=bench_time, cost_on_full=bench_cost,
-                cost_ratio_vs_benchmark=1.0, seed=seed, trial=trial))
-
+        rows += [replace(base, coreset_size_actual=n, solve_seconds=bench.solve_seconds,
+                         total_seconds=bench.solve_seconds,
+                         cost_on_full=bench.cost_on_solve_set, cost_ratio_vs_benchmark=1.0,
+                         trial=trial)
+                 for trial in range(trials)]
     for method in methods:
         if method == "benchmark":
             continue
         for budget in budgets:
             for trial in range(trials):
-                rows.append(_run_cell(work, dataset, d_prime, k, method, budget,
-                                      trial, seed, dataset_name, bench_cost))
+                cell = replace(base, method=method, budget_requested=budget, trial=trial)
+                rows.append(_run_cell(work, cell, bench.cost_on_solve_set))
 
     rows.sort(key=lambda r: (r.method, r.budget_requested, r.trial))
     return rows
 
 
-def _run_cell(work: Dataset, original: Dataset, d_prime: int, k: int, method: str,
-              budget: int, trial: int, seed: int, dataset_name: str,
-              benchmark_cost: float) -> ExperimentReport:
-    cell_seed = _cell_seed(seed, method, budget, trial)
+def _run_cell(work: Dataset, cell: ExperimentReport, benchmark_cost: float) -> ExperimentReport:
+    """Fill in one cell's row: build, solve on the coreset, evaluate on work."""
+    cell_seed = _cell_seed(cell.seed, cell.method, cell.budget_requested, cell.trial)
     t0 = time.perf_counter()
-    failed = False
     try:
-        if method == "hash":
-            cfg = HashCoveringConfig(k=k, budget=budget, seed=cell_seed)
-            subset = build_covering_hash(work, cfg).subset
-        elif method == "lowdim":
-            cfg = HashCoveringConfig(k=k, budget=budget, seed=cell_seed)
-            subset = low_dim_baseline(work, cfg).subset
-        elif method == "uniform":
-            subset = uniform_baseline(work, budget, cell_seed)
-        elif method == "sample":
-            cfg = SampleCoveringConfig(k=k, seed=cell_seed)
-            subset = build_covering_sample(work, cfg).subset
-        else:  # pragma: no cover - guarded by run_sweep validation
-            raise ValueError(f"unknown method {method!r}")
+        subset, _ = build_coreset(cell.method, work, cell.k, cell.budget_requested, cell_seed)
     except ConstructionFailedError:
-        failed = True
-        subset = None
+        build_seconds = time.perf_counter() - t0
+        return replace(cell, build_seconds=build_seconds, total_seconds=build_seconds)
     build_seconds = time.perf_counter() - t0
 
-    if failed:
-        return ExperimentReport(
-            dataset_name=dataset_name, n=original.n, d=original.d, d_prime=d_prime,
-            k=k, method=method, budget_requested=budget, coreset_size_actual=0,
-            build_seconds=build_seconds, solve_seconds=0.0, total_seconds=build_seconds,
-            cost_on_full=math.nan, cost_ratio_vs_benchmark=math.nan,
-            seed=seed, trial=trial)
-
-    sub_dataset = work.take(subset)
-    sol = gonzalez(sub_dataset, k, start_index=0)
+    sol = gonzalez(work.take(subset), cell.k, start_index=0)
     value = evaluate_on_full(work, subset, sol)
     total_seconds = time.perf_counter() - t0
-    return ExperimentReport(
-        dataset_name=dataset_name, n=original.n, d=original.d, d_prime=d_prime,
-        k=k, method=method, budget_requested=budget,
-        coreset_size_actual=int(subset.shape[0]), build_seconds=build_seconds,
-        solve_seconds=sol.solve_seconds, total_seconds=total_seconds,
-        cost_on_full=value, cost_ratio_vs_benchmark=_ratio(value, benchmark_cost),
-        seed=seed, trial=trial)
-
-
-def _cell_text(report: ExperimentReport, attr: str):
-    value = getattr(report, attr)
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+    return replace(cell, coreset_size_actual=int(subset.shape[0]),
+                   build_seconds=build_seconds, solve_seconds=sol.solve_seconds,
+                   total_seconds=total_seconds, cost_on_full=value,
+                   cost_ratio_vs_benchmark=_ratio(value, benchmark_cost))
 
 
 def emit_report(reports, fmt: str = "csv", path=None) -> str:
@@ -207,22 +189,16 @@ def emit_report(reports, fmt: str = "csv", path=None) -> str:
     the same field names. Rows keep their given order, so emitting a sweep's
     output is deterministic byte-for-byte apart from the timing columns.
     """
+    header = [col for col, _ in REPORT_COLUMNS]
+    rows = [[getattr(r, attr) for _, attr in REPORT_COLUMNS] for r in reports]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([col for col, _ in REPORT_COLUMNS])
-        for r in reports:
-            writer.writerow([_cell_text(r, attr) for _, attr in REPORT_COLUMNS])
+        writer.writerow(header)
+        writer.writerows(rows)
         text = buf.getvalue()
     elif fmt == "json":
-        records = []
-        for r in reports:
-            rec = {}
-            for col, attr in REPORT_COLUMNS:
-                value = getattr(r, attr)
-                rec[col] = float(value) if isinstance(value, float) else value
-            records.append(rec)
-        text = json.dumps(records, indent=2) + "\n"
+        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
     else:
         raise ValueError("fmt must be 'csv' or 'json'")
     if path is not None:

@@ -29,7 +29,7 @@ def _cell_side(dim: int, scale: float) -> float:
     return scale / math.sqrt(dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridHash:
     """One realized grid: dimension, scale, shift, and the derived cell side."""
 

@@ -1,10 +1,9 @@
-"""Farthest-first k-center solving plus covering composition.
+"""Farthest-first k-center solving and full-data evaluation.
 
 gonzalez() is the classical greedy 2-approximation: repeatedly add the
 point farthest from the chosen centers, maintaining one distance per point
-so each round is O(n d). Coverings compose: the union of two coverings
-covers the concatenated datasets at the larger radius, and re-covering a
-covering's rows costs only the sum of the two radii.
+so each round is O(n d). evaluate_on_full() measures a solution found on a
+coreset against every row of the dataset.
 """
 
 from __future__ import annotations
@@ -15,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, cost, sq_dists_to_point
-from .covering import CoveringResult
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CenterSolution:
     """Chosen center rows (indices into the dataset solved on), cost and time."""
 
@@ -85,39 +83,3 @@ def evaluate_on_full(dataset: Dataset, coreset_rows, solution: CenterSolution) -
     if original.min() < 0 or original.max() >= dataset.n:
         raise ValueError("coreset_rows do not index into the dataset")
     return cost(dataset, original)
-
-
-def merge_coverings(dataset_a: Dataset, covering_a: CoveringResult,
-                    dataset_b: Dataset, covering_b: CoveringResult):
-    """Union of two coverings of two shards of equal dimension.
-
-    Returns (concatenated dataset, covering of it) with B's indices offset
-    by A's row count; the radius bound is the larger of the two.
-    """
-    if dataset_a.d != dataset_b.d:
-        raise ValueError("datasets must have equal dimension")
-    merged = Dataset(np.vstack([dataset_a.coords, dataset_b.coords]))
-    subset = np.concatenate([covering_a.subset, covering_b.subset + dataset_a.n])
-    return merged, CoveringResult(
-        subset=np.sort(subset),
-        radius_bound=float(max(covering_a.radius_bound, covering_b.radius_bound)),
-        tau_used=float(max(covering_a.tau_used, covering_b.tau_used)),
-        sizes=tuple(covering_a.sizes) + tuple(covering_b.sizes))
-
-
-def reduce_covering(dataset: Dataset, outer: CoveringResult, inner_builder) -> CoveringResult:
-    """Re-cover a covering's rows and push the result back to the dataset.
-
-    inner_builder receives the Dataset of outer's rows and must return a
-    CoveringResult on it; the composed radius bound is the sum of the two.
-    """
-    sub_dataset = dataset.take(outer.subset)
-    inner = inner_builder(sub_dataset)
-    inner_subset = np.asarray(inner.subset, dtype=np.int64)
-    if inner_subset.size == 0 or inner_subset.min() < 0 or inner_subset.max() >= outer.subset.shape[0]:
-        raise ValueError("inner covering does not index into the outer subset")
-    final = np.sort(outer.subset[inner_subset])
-    return CoveringResult(subset=final,
-                          radius_bound=float(outer.radius_bound + inner.radius_bound),
-                          tau_used=inner.tau_used,
-                          sizes=tuple(inner.sizes))

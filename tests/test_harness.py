@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import io
 import json
 import math
 import subprocess
@@ -421,3 +423,55 @@ def test_cli_installed_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
     assert len(out.read_text().strip().splitlines()) == 25
+
+
+# --- pinned outputs --------------------------------------------------------
+
+# sha256 of `kcover coreset` JSON for each method on synth_csv(n=200, d=3,
+# k=4, seed=12), k 4, budget 20, seed 3; the hash, lowdim and sample
+# payloads carry radiusBound, tauUsed, iterations and sizes, the uniform one
+# a null radiusBound
+PINNED_CORESETS = {
+    "hash": "9126cd913fcb7e4bb2ebcb56d90e33036722d65a42c0a7cf5c79b3f61041318b",
+    "lowdim": "35d3807ff93aa862061b29a4cf1b0a8f43db9b823fdcbb8f59c27d7c2fc896c2",
+    "sample": "ed368fc958e98e94b4148d68c5d050ce2c1c4590eb9a00efa5198bf7efd76c1a",
+    "uniform": "2c3eea3e89110f64a2d68c866f0ffe87746820e46216341d64678b08f4038358",
+}
+# sha256 of run_sweep's CSV and JSON without the timing columns: all five
+# methods on planted(n=150, d=4, k=3, seed=13), budgets 8, 32 and one of n
+# or more, two trials, seed 5, at the full dimension and projected to 2
+PINNED_SWEEPS = {
+    None: ("de5637e649950c842a2d9386d0e0f2ae4a39a2bd387cad45776f49ee7d30c24e",
+           "2da6331297fc5c1d3166f9d5d239bd5b28b1ff56e04c5c0757869a84b2b7e13d"),
+    2: ("88a86cad9490d2e857f916ac119ad620190d986016d83c13522bad4f0fc9fc25",
+        "8240d2102ea78f8a3e1fbe10211fc9857faee6bc091e803a7fa28025cd9c77c3"),
+}
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("method", ["hash", "lowdim", "sample", "uniform"])
+def test_cli_coreset_output_is_pinned(tmp_path, method):
+    data_path = synth_csv(tmp_path, n=200, d=3, k=4, seed=12)
+    out = tmp_path / "coreset.json"
+    rc = main(["coreset", "--input", str(data_path), "--method", method, "--k", "4",
+               "--budget", "20", "--seed", "3", "--output", str(out)])
+    assert rc == 0
+    assert digest(out.read_text()) == PINNED_CORESETS[method]
+
+
+@pytest.mark.parametrize("jl_dim", [None, 2])
+def test_sweep_output_is_pinned(jl_dim):
+    rows = run_sweep(planted(n=150, d=4, k=3, seed=13), k=3,
+                     methods=("benchmark", "hash", "lowdim", "sample", "uniform"),
+                     budgets=(8, 32, 10**6), trials=2, seed=5, jl_dim=jl_dim)
+    keep = [i for i, (col, _) in enumerate(REPORT_COLUMNS) if col not in TIMING_COLUMNS]
+    table = list(csv.reader(io.StringIO(emit_report(rows, fmt="csv"))))
+    text = "\n".join(",".join(line[i] for i in keep) for line in table)
+    records = json.loads(emit_report(rows, fmt="json"))
+    for rec in records:
+        for col in TIMING_COLUMNS:
+            del rec[col]
+    assert (digest(text), digest(json.dumps(records))) == PINNED_SWEEPS[jl_dim]

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from kcover.core import Dataset
-from kcover.covering import CoveringResult, HashCoveringConfig, build_covering_hash
-from kcover.solver import (
-    evaluate_on_full,
-    gonzalez,
+from kcover.covering import (
+    CoveringResult,
+    HashCoveringConfig,
+    build_covering_hash,
     merge_coverings,
     reduce_covering,
 )
+from kcover.gridhash import GridHash
+from kcover.solver import CenterSolution, evaluate_on_full, gonzalez
 
 from conftest import covering_ok, exhaustive_discrete_opt, max_min_dist
 
@@ -212,3 +214,16 @@ def test_pipeline_end_to_end_bound():
         sol = gonzalez(data.take(covering.subset), k)
         value = evaluate_on_full(data, covering.subset, sol)
         assert value <= 2.0 * opt_ref + 2.0 * covering.radius_bound + 1e-9
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GridHash(dim=2, scale=1.0, shift=np.zeros(2)),
+    lambda: CoveringResult(subset=np.arange(3), radius_bound=1.0, tau_used=1.0, sizes=(3,)),
+    lambda: CenterSolution(centers=np.arange(2), cost_on_solve_set=1.0, solve_seconds=0.0),
+], ids=["GridHash", "CoveringResult", "CenterSolution"])
+def test_array_holding_results_compare_by_identity(make):
+    # field-wise equality would compare numpy arrays, whose truth value is
+    # ambiguous; identity equality gives a bool and a hash instead
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcover import covering, sampling
-from kcover.core import ConstructionFailedError, Dataset
+from kcover.core import ConstructionFailedError, Dataset, first_occurrences
 from kcover.covering import (
     HashCoveringConfig,
     build_covering_hash,
@@ -250,13 +250,29 @@ def test_edge_case_coverings_sound(instance, method, seed):
 
 @pytest.mark.parametrize("offset", [0.0, 1e8])
 def test_budget_that_every_scale_fits_stops_halving(offset):
-    # a budget of n fits at every scale, so budget mode halves until cell
-    # indices would outgrow float resolution, and stops there
-    data = Dataset(offset + np.random.default_rng(5).normal(size=(300, 3)))
+    # 150 distinct rows, each written twice, fit a budget of 200 at every
+    # scale, so budget mode halves until cell indices would outgrow float
+    # resolution, and stops there
+    rows = offset + np.random.default_rng(5).normal(size=(150, 3))
+    data = Dataset(np.vstack([rows, rows]))
     result = build_covering_hash(
-        data, HashCoveringConfig(k=4, mode="budget", budget=300, seed=0))
+        data, HashCoveringConfig(k=4, mode="budget", budget=200, seed=0))
     assert covering_ok(data.coords, result.subset, result.radius_bound)
-    assert result.size == 300 and result.iterations == len(result.sizes) < 100
+    assert result.size == 150 and result.iterations == len(result.sizes) < 100
+    floor = covering._MIN_RELATIVE_SCALE * math.sqrt(3) * np.abs(data.coords).max()
+    assert result.tau_used / 2 < floor <= result.tau_used
+
+
+@pytest.mark.parametrize("budget", [300, 301])
+@pytest.mark.parametrize("build", [build_covering_hash, low_dim_baseline])
+def test_budget_of_n_keeps_the_exact_collapse(build, budget):
+    # any budget of n or more fits the duplicate collapse, at radius 0
+    rows = np.random.default_rng(6).normal(size=(150, 3))
+    data = Dataset(np.vstack([rows, rows]))
+    result = build(data, HashCoveringConfig(k=4, budget=budget, seed=0))
+    assert result.radius_bound == 0.0 and result.tau_used == 0.0
+    assert result.iterations == 1 and result.sizes == (150,)
+    assert result.subset.tolist() == first_occurrences(data.coords)[1].tolist()
 
 
 def test_large_offset_at_large_n_stays_sound():
