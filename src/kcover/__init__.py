@@ -12,7 +12,6 @@ from .covering import (
     CoveringResult,
     HashCoveringConfig,
     build_covering_hash,
-    low_dim_baseline,
     merge_coverings,
     reduce_covering,
     uniform_baseline,
@@ -44,7 +43,6 @@ __all__ = [
     "generate_synthetic",
     "gonzalez",
     "load_csv",
-    "low_dim_baseline",
     "merge_coverings",
     "reduce_covering",
     "run_sweep",

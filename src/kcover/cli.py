@@ -3,8 +3,8 @@
 Subcommands:
   synth     write a synthetic dataset to CSV
   coreset   build a covering / coreset of a CSV dataset, write indices as JSON
-            (hash, lowdim, sample or uniform; sample queries nearest
-            members exactly)
+            (hash, sample or uniform; sample queries nearest members
+            exactly)
   solve     greedy k-center on a dataset (optionally restricted to a coreset)
   eval      cost of a stored solution (center row indices) on a dataset
   sweep     method x budget x trial comparison grid, CSV or JSON report
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=CORESET_METHODS, default="hash")
     p.add_argument("--k", type=int, default=None, help="default: floor(sqrt(n))")
     p.add_argument("--budget", type=int, default=None,
-                   help="coreset size for hash, lowdim and uniform")
+                   help="coreset size for hash and uniform")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(fn=_cmd_coreset)
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="dataset", help="dataset name recorded in reports")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--methods", default="hash,uniform",
-                   help="comma list of benchmark,hash,lowdim,sample,uniform")
+                   help="comma list of benchmark," + ",".join(CORESET_METHODS))
     p.add_argument("--budgets", default=None,
                    help="comma list; plain sizes or multiples like 8k (default 1k..30k)")
     p.add_argument("--trials", type=int, default=3)

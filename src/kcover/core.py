@@ -118,10 +118,17 @@ class Dataset:
 
 
 def index_subset(indices, n) -> np.ndarray:
-    """Canonical row-index subset: sorted, distinct, int64, all in [0, n)."""
-    idx = np.asarray(indices, dtype=np.int64).ravel()
-    if idx.size == 0:
+    """Canonical row-index subset: sorted, distinct, int64, all in [0, n).
+
+    Any dtype but integer raises: a float or bool index is never truncated
+    to a row.
+    """
+    arr = np.asarray(indices)
+    if arr.size == 0:
         raise ValueError("index subset must be nonempty")
+    if arr.dtype.kind not in "iu":
+        raise ValueError("row indices must be integers")
+    idx = arr.ravel().astype(np.int64)
     if idx.min() < 0 or idx.max() >= n:
         raise ValueError(f"indices must lie in [0, {n})")
     return sorted_distinct(idx)
@@ -243,19 +250,6 @@ def first_occurrences(rows, budget=None):
     if budget is not None and first.shape[0] > budget:
         return first.shape[0], None
     return first.shape[0], first
-
-
-def _center_rows(dataset: Dataset, centers) -> np.ndarray:
-    """Coordinates of the center rows; any dtype but integer raises, never truncates."""
-    arr = np.asarray(centers)
-    if arr.dtype.kind not in "iu":
-        raise ValueError("centers must be integer row indices")
-    idx = arr.ravel().astype(np.int64)
-    if idx.size == 0:
-        raise ValueError("centers must be nonempty")
-    if idx.min() < 0 or idx.max() >= dataset.n:
-        raise ValueError("center indices out of range")
-    return dataset.coords[idx]
 
 
 def _exact_sq(points: np.ndarray, members: np.ndarray, rows, cols) -> np.ndarray:
@@ -403,6 +397,9 @@ def cost(dataset: Dataset, centers) -> float:
 
     Exactly the square root of the largest squared distance _nearest_sq
     gives, so a row that coincides with a center counts as 0.0. A screen
-    sends only the candidates for the farthest row to that kernel.
+    sends only the candidates for the farthest row to that kernel. The value
+    depends only on the set of centers, so they are taken as index_subset
+    gives them.
     """
-    return float(np.sqrt(_farthest_sq(dataset.coords, _center_rows(dataset, centers))))
+    members = dataset.coords[index_subset(centers, dataset.n)]
+    return float(np.sqrt(_farthest_sq(dataset.coords, members)))

@@ -10,11 +10,11 @@ certified lower bound L on the optimal cost: greedy on a uniform row
 sample, halved. It collapses exact duplicates when L is 0, and otherwise
 calls the construction's per-scale step on scales tau found from L: the
 sample construction (kcover.sampling) doubles tau from L until its rounds
-converge, and the grid-hash constructions search both ways from L for the
+converge, and the grid-hash construction searches both ways from L for the
 smallest scale that fits, closing with geometric bisection.
 
-The grid-hash step hashes the points into a randomly shifted grid at scale
-tau (unshifted for low_dim_baseline) and keeps one representative per
+The grid-hash step hashes the points into a grid at scale tau, with a
+fresh random shift at every scale, and keeps one representative per
 occupied cell. A scale fits when its cell count is at most an explicit size
 budget, so the radius bound is the cell diameter tau; this mirrors how the
 construction is run when a target coreset size is known.
@@ -43,7 +43,7 @@ from .core import (
     row_keys,
     sorted_distinct,
 )
-from .gridhash import eval_hash_batch, sample_hash, zero_shift_hash
+from .gridhash import eval_hash_batch, sample_hash
 from .solver import gonzalez
 
 # extra doublings granted in budget mode past the scale at which one cell
@@ -246,7 +246,8 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
     return accepted(best, hi)
 
 
-def _sweep_hash(dataset: Dataset, cfg: HashCoveringConfig, shifted: bool) -> CoveringResult:
+def build_covering_hash(dataset: Dataset, cfg: HashCoveringConfig) -> CoveringResult:
+    """Grid-hash covering with a fresh random shift at every scale."""
     n, d = dataset.n, dataset.d
     if not 1 <= cfg.k <= n:
         raise ValueError("k must lie in [1, n]")
@@ -268,7 +269,7 @@ def _sweep_hash(dataset: Dataset, cfg: HashCoveringConfig, shifted: bool) -> Cov
         filter_coords = dataset.coords[filter_rows]
 
     def step(i: int, tau: float):
-        h = sample_hash(d, tau, cfg.seed, stream=i) if shifted else zero_shift_hash(d, tau)
+        h = sample_hash(d, tau, cfg.seed, stream=i)
         if filter_coords is not None:
             sub_count = sorted_distinct(row_keys(eval_hash_batch(h, filter_coords))).size
             if sub_count > budget:
@@ -276,16 +277,6 @@ def _sweep_hash(dataset: Dataset, cfg: HashCoveringConfig, shifted: bool) -> Cov
         return first_occurrences(eval_hash_batch(h, dataset.coords), budget)
 
     return sweep_scales(dataset, cfg.k, cfg.seed, step, 1.0, budget=budget)
-
-
-def build_covering_hash(dataset: Dataset, cfg: HashCoveringConfig) -> CoveringResult:
-    """Grid-hash covering with a fresh random shift at every scale."""
-    return _sweep_hash(dataset, cfg, shifted=True)
-
-
-def low_dim_baseline(dataset: Dataset, cfg: HashCoveringConfig) -> CoveringResult:
-    """Same sweep on the unshifted grid; the classical low-dimensional recipe."""
-    return _sweep_hash(dataset, cfg, shifted=False)
 
 
 def uniform_baseline(dataset: Dataset, size: int, seed: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .core import STREAM_SWEEP, ConstructionFailedError, Dataset, rng_stream
-from .covering import HashCoveringConfig, build_covering_hash, low_dim_baseline, uniform_baseline
+from .covering import HashCoveringConfig, build_covering_hash, uniform_baseline
 from .dimred import jl_project, jl_target_dim
 from .sampling import SampleCoveringConfig, build_covering_sample
 from .solver import evaluate_on_full, gonzalez
@@ -27,11 +27,11 @@ from .solver import evaluate_on_full, gonzalez
 DEFAULT_BUDGET_MULTIPLIERS = (1, 2, 4, 8, 16, 30)
 DEFAULT_JL_EPS = 0.5
 
-# _cell_seed seeds each sweep cell from the method's position here, so
-# reordering the methods changes every sweep's output
-_METHODS = ("benchmark", "hash", "lowdim", "sample", "uniform")
+# _cell_seed seeds each sweep cell from the method's id here; an id is never
+# reused, so a deleted method leaves every other method's output as it was
+_METHOD_IDS = {"benchmark": 0, "hash": 1, "sample": 3, "uniform": 4}
 # the methods that build a coreset; all but sample need a budget
-CORESET_METHODS = _METHODS[1:]
+CORESET_METHODS = tuple(m for m in _METHOD_IDS if m != "benchmark")
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,13 @@ def build_coreset(method: str, dataset: Dataset, k: int, budget: int | None, see
     if method == "sample":
         result = build_covering_sample(dataset, SampleCoveringConfig(k=k, seed=seed))
     else:
-        build = build_covering_hash if method == "hash" else low_dim_baseline
-        result = build(dataset, HashCoveringConfig(k=k, budget=budget, seed=seed))
+        result = build_covering_hash(dataset, HashCoveringConfig(k=k, budget=budget, seed=seed))
     return result.subset, result
 
 
 def _cell_seed(seed: int, method: str, budget: int, trial: int) -> int:
-    mid = _METHODS.index(method)
-    return int(rng_stream(seed, STREAM_SWEEP, mid, budget, trial).integers(0, 2**63))
+    rng = rng_stream(seed, STREAM_SWEEP, _METHOD_IDS[method], budget, trial)
+    return int(rng.integers(0, 2**63))
 
 
 def _ratio(value: float, benchmark: float) -> float:
@@ -116,7 +115,7 @@ def run_sweep(dataset: Dataset, k: int | None = None, methods=("hash", "uniform"
     if not methods:
         raise ValueError("methods must be nonempty")
     for m in methods:
-        if m not in _METHODS:
+        if m not in _METHOD_IDS:
             raise ValueError(f"unknown method {m!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -188,6 +187,8 @@ def emit_report(reports, fmt: str = "csv", path=None) -> str:
     CSV uses the canonical column order; JSON is an array of objects with
     the same field names. Rows keep their given order, so emitting a sweep's
     output is deterministic byte-for-byte apart from the timing columns.
+    JSON has no NaN or infinity, so a non-finite value (the costs of a failed
+    cell, or a ratio over a zero benchmark cost) is written as null there.
     """
     header = [col for col, _ in REPORT_COLUMNS]
     rows = [[getattr(r, attr) for _, attr in REPORT_COLUMNS] for r in reports]
@@ -198,7 +199,9 @@ def emit_report(reports, fmt: str = "csv", path=None) -> str:
         writer.writerows(rows)
         text = buf.getvalue()
     elif fmt == "json":
-        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+        records = [{col: None if isinstance(v, float) and not math.isfinite(v) else v
+                    for col, v in zip(header, row)} for row in rows]
+        text = json.dumps(records, indent=2, allow_nan=False) + "\n"
     else:
         raise ValueError("fmt must be 'csv' or 'json'")
     if path is not None:

@@ -61,11 +61,6 @@ def sample_hash(dim: int, scale: float, seed: int, stream: int = 0) -> GridHash:
     return GridHash(dim=dim, scale=scale, shift=shift)
 
 
-def zero_shift_hash(dim: int, scale: float) -> GridHash:
-    """Axis-aligned grid with no shift (deterministic baseline variant)."""
-    return GridHash(dim=dim, scale=scale, shift=np.zeros(dim))
-
-
 @contextmanager
 def _int64_cells(h: GridHash):
     """Turn an int64 overflow in the cell-index cast into a ValueError.

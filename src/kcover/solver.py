@@ -73,13 +73,11 @@ def evaluate_on_full(dataset: Dataset, coreset_rows, solution: CenterSolution) -
     coreset_rows maps coreset positions back to original rows; the solution's
     centers index into that array.
     """
-    rows = np.asarray(coreset_rows, dtype=np.int64).ravel()
+    rows = np.asarray(coreset_rows).ravel()
     centers = solution.centers
     if centers.size == 0:
         raise ValueError("solution has no centers")
     if centers.min() < 0 or centers.max() >= rows.size:
         raise ValueError("solution centers do not index into coreset_rows")
-    original = rows[centers]
-    if original.min() < 0 or original.max() >= dataset.n:
-        raise ValueError("coreset_rows do not index into the dataset")
-    return cost(dataset, original)
+    # cost checks that the mapped rows are integer row indices of the dataset
+    return cost(dataset, rows[centers])

@@ -290,7 +290,7 @@ def test_c11_sweep_determinism():
 
     def run_once():
         rows = run_sweep(data, k=5,
-                         methods=("benchmark", "hash", "lowdim", "uniform", "sample"),
+                         methods=("benchmark", "hash", "uniform", "sample"),
                          budgets=(12, 40), trials=2, seed=9,
                          dataset_name="determinism")
         return emit_report(rows, fmt="csv")

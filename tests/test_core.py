@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kcover import core
+from kcover.cli import EXIT_USAGE, main
 from kcover.core import (
     Dataset,
     column_extents,
@@ -17,6 +19,8 @@ from kcover.core import (
     sorted_distinct,
     sq_dists_to_point,
 )
+from kcover.neighbor import ExactOracle
+from kcover.solver import evaluate_on_full, gonzalez
 
 from conftest import max_min_dist
 
@@ -144,6 +148,29 @@ def test_index_subset_sorts_and_dedups():
         idx = rng.integers(0, 50, size=int(rng.integers(1, 200)))
         out = index_subset(idx, 50)
         assert out.dtype == np.int64 and out.tolist() == np.unique(idx).tolist()
+
+
+def test_row_indices_must_be_integers(tmp_path, capsys):
+    # a float or bool index never truncates to a row, at any entry point
+    data = Dataset(np.arange(5.0))
+    sol = gonzalez(data.take([0, 4]), 2)
+    for bad in ([0.5, 1.9, 3.99], [True, False]):
+        with pytest.raises(ValueError):
+            data.take(bad)
+        with pytest.raises(ValueError):
+            ExactOracle(data, bad[:2])
+        with pytest.raises(ValueError):
+            evaluate_on_full(data, bad[:2], sol)
+    with pytest.raises(ValueError, match="nonempty"):
+        index_subset([], 5)
+    data_path = tmp_path / "points.csv"
+    data_path.write_text("0\n1\n2\n3\n4\n")
+    coreset_path = tmp_path / "coreset.json"
+    coreset_path.write_text(json.dumps({"indices": [0.9, 3.7]}))
+    rc = main(["solve", "--input", str(data_path), "--k", "1", "--coreset", str(coreset_path),
+               "--output", str(tmp_path / "sol.json")])
+    assert rc == EXIT_USAGE
+    capsys.readouterr()
 
 
 def lexicographic_first(rows):

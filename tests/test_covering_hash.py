@@ -6,7 +6,6 @@ from kcover.core import Dataset, first_occurrences
 from kcover.covering import (
     HashCoveringConfig,
     build_covering_hash,
-    low_dim_baseline,
     uniform_baseline,
 )
 from kcover.datasets import SyntheticSpec, generate_synthetic
@@ -154,32 +153,6 @@ def test_build_deterministic_per_seed():
     b = build_covering_hash(data, cfg)
     assert a.subset.tolist() == b.subset.tolist()
     assert a.radius_bound == b.radius_bound and a.sizes == b.sizes
-
-
-def test_low_dim_single_unshifted_cell():
-    # all points inside [0, 0.3)^2: once the unshifted cell reaches that
-    # size, everything lands in cell (0, 0)
-    rng = np.random.default_rng(6)
-    data = Dataset(rng.uniform(0.0, 0.3, size=(30, 2)))
-    cfg = HashCoveringConfig(k=1, mode="budget", budget=1, seed=0)
-    result = low_dim_baseline(data, cfg)
-    assert result.size == 1
-    assert result.subset.tolist() == [0]
-    assert covering_ok(data.coords, result.subset, result.radius_bound)
-
-
-def test_low_dim_covering_still_sound():
-    data = four_cluster_instance(n=60, seed=17)
-    cfg = HashCoveringConfig(k=4, mode="budget", budget=9, seed=1)
-    shifted = build_covering_hash(data, cfg)
-    unshifted = low_dim_baseline(data, cfg)
-    assert covering_ok(data.coords, unshifted.subset, unshifted.radius_bound)
-    assert unshifted.size <= 9
-    # same seed, different grids: the constructions generally disagree
-    assert (
-        shifted.subset.tolist() != unshifted.subset.tolist()
-        or shifted.radius_bound != unshifted.radius_bound
-    )
 
 
 def test_uniform_baseline_contract():

@@ -8,7 +8,6 @@ from kcover.gridhash import (
     count_cells_intersecting_ball,
     eval_hash_batch,
     sample_hash,
-    zero_shift_hash,
 )
 
 
@@ -77,7 +76,7 @@ def test_gridhash_constructor_validates():
 
 
 def test_eval_hash_zero_shift_floors():
-    h = zero_shift_hash(2, math.sqrt(2.0))  # side 1
+    h = GridHash(2, math.sqrt(2.0), shift=np.zeros(2))  # side 1
     assert eval_hash_batch(h, np.array([[0.2, 0.7]])).tolist() == [[0, 0]]
     assert eval_hash_batch(h, np.array([[-0.1, 2.0]])).tolist() == [[-1, 2]]
 
@@ -88,7 +87,7 @@ def test_eval_hash_with_shift():
 
 
 def test_eval_hash_dimension_mismatch():
-    h = zero_shift_hash(2, 1.0)
+    h = GridHash(2, 1.0, shift=np.zeros(2))
     with pytest.raises(ValueError):
         eval_hash_batch(h, np.array([[0.0]]))
     with pytest.raises(ValueError):
@@ -105,7 +104,7 @@ def test_eval_hash_batch_matches_single():
 
 
 def test_eval_hash_batch_duplicates_and_line():
-    h = zero_shift_hash(1, 1.0)
+    h = GridHash(1, 1.0, shift=np.zeros(1))
     batch = eval_hash_batch(h, np.array([[0.1], [1.1], [2.1], [0.1]]))
     assert batch[:, 0].tolist() == [0, 1, 2, 0]
 
@@ -144,14 +143,14 @@ def test_count_cells_point_ball():
 
 
 def test_count_cells_interval_inside_cell():
-    h = zero_shift_hash(1, 1.0)
+    h = GridHash(1, 1.0, shift=np.zeros(1))
     assert count_cells_intersecting_ball(h, [0.5], 0.4) == 1
     assert oracle_count_1d(1.0, 0.0, 0.5, 0.4) == 1
 
 
 def test_count_cells_interval_touching_neighbors():
     # [-0.1, 1.1] reaches into the cells on both sides of [0, 1)
-    h = zero_shift_hash(1, 1.0)
+    h = GridHash(1, 1.0, shift=np.zeros(1))
     assert count_cells_intersecting_ball(h, [0.5], 0.6) == 3
     assert oracle_count_1d(1.0, 0.0, 0.5, 0.6) == 3
 

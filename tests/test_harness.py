@@ -12,7 +12,7 @@ import pytest
 import kcover.experiment
 import kcover.sampling
 from kcover.cli import EXIT_CONSTRUCTION, EXIT_IO, EXIT_USAGE, main
-from kcover.core import Dataset
+from kcover.core import ConstructionFailedError, Dataset
 from kcover.datasets import SyntheticSpec, generate_synthetic
 from kcover.dimred import jl_target_dim
 from kcover.experiment import (
@@ -114,7 +114,7 @@ def test_sweep_hash_planted_ratios_finite():
 def test_sweep_size_tracks_budget():
     # size discipline holds for the budgeted methods (sample is emergent-size)
     data = planted(n=600, d=4, k=5, seed=4)
-    rows = run_sweep(data, k=5, methods=("hash", "lowdim", "uniform"),
+    rows = run_sweep(data, k=5, methods=("hash", "uniform"),
                      budgets=(10, 25, 60), trials=1, seed=2)
     for r in rows:
         assert r.coreset_size_actual <= 1.2 * r.budget_requested
@@ -233,6 +233,27 @@ def test_emit_json_field_names(tmp_path):
     assert len(records) == 1
     assert list(records[0]) == [col for col, _ in REPORT_COLUMNS]
     assert records[0]["costRatioVsBenchmark"] == 1.25
+
+
+def test_emit_json_writes_non_finite_values_as_null(monkeypatch):
+    # a failed cell's costs are NaN and a ratio over a zero benchmark cost is
+    # inf; strict JSON parsers accept neither NaN nor Infinity
+    def fail(*args):
+        raise ConstructionFailedError("no scale fit")
+
+    monkeypatch.setattr(kcover.experiment, "build_coreset", fail)
+    rows = run_sweep(planted(n=60, k=2, seed=8), k=2, methods=("hash",),
+                     budgets=(4,), trials=1)
+    rows.append(sample_report(cost_ratio_vs_benchmark=math.inf))
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    records = json.loads(emit_report(rows, fmt="json"), parse_constant=reject)
+    assert records[0]["costOnFull"] is None and records[0]["costRatioVsBenchmark"] is None
+    assert records[1]["costRatioVsBenchmark"] is None and records[1]["costOnFull"] == 1.5
+    table = csv.DictReader(io.StringIO(emit_report(rows, fmt="csv")))
+    assert [r["costRatioVsBenchmark"] for r in table] == ["nan", "inf"]
 
 
 def test_emit_rejects_bad_format():
@@ -380,6 +401,18 @@ def test_cli_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_has_no_lowdim_method(tmp_path, capsys):
+    data_path = synth_csv(tmp_path, n=40, k=2, seed=6)
+    with pytest.raises(SystemExit) as err:
+        main(["coreset", "--input", str(data_path), "--method", "lowdim",
+              "--budget", "8", "--output", str(tmp_path / "c.json")])
+    assert err.value.code == EXIT_USAGE
+    rc = main(["sweep", "--input", str(data_path), "--methods", "hash,lowdim",
+               "--budgets", "8", "--trials", "1"])
+    assert rc == EXIT_USAGE
+    capsys.readouterr()
+
+
 def test_cli_argparse_rejects_unknown_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--input", "points.csv", "--bogus"])
@@ -428,23 +461,22 @@ def test_cli_installed_entry_point(tmp_path):
 # --- pinned outputs --------------------------------------------------------
 
 # sha256 of `kcover coreset` JSON for each method on synth_csv(n=200, d=3,
-# k=4, seed=12), k 4, budget 20, seed 3; the hash, lowdim and sample
-# payloads carry radiusBound, tauUsed, iterations and sizes, the uniform one
+# k=4, seed=12), k 4, budget 20, seed 3; the hash and sample payloads
+# carry radiusBound, tauUsed, iterations and sizes, the uniform one
 # a null radiusBound
 PINNED_CORESETS = {
     "hash": "9126cd913fcb7e4bb2ebcb56d90e33036722d65a42c0a7cf5c79b3f61041318b",
-    "lowdim": "35d3807ff93aa862061b29a4cf1b0a8f43db9b823fdcbb8f59c27d7c2fc896c2",
     "sample": "ed368fc958e98e94b4148d68c5d050ce2c1c4590eb9a00efa5198bf7efd76c1a",
     "uniform": "2c3eea3e89110f64a2d68c866f0ffe87746820e46216341d64678b08f4038358",
 }
-# sha256 of run_sweep's CSV and JSON without the timing columns: all five
+# sha256 of run_sweep's CSV and JSON without the timing columns: all four
 # methods on planted(n=150, d=4, k=3, seed=13), budgets 8, 32 and one of n
 # or more, two trials, seed 5, at the full dimension and projected to 2
 PINNED_SWEEPS = {
-    None: ("de5637e649950c842a2d9386d0e0f2ae4a39a2bd387cad45776f49ee7d30c24e",
-           "2da6331297fc5c1d3166f9d5d239bd5b28b1ff56e04c5c0757869a84b2b7e13d"),
-    2: ("88a86cad9490d2e857f916ac119ad620190d986016d83c13522bad4f0fc9fc25",
-        "8240d2102ea78f8a3e1fbe10211fc9857faee6bc091e803a7fa28025cd9c77c3"),
+    None: ("41a33353a330a805d01e39db3c6606d426158a07959a279d732ef4831be35eca",
+           "d1a10722c945b09417ad6015dca43bac61ca8226dcd2e79dd220a0e8e7e7d68f"),
+    2: ("5a5ecdb95ddd4f65b75eada5895ed111ae7ace1995d8299de3c750cc79bc453f",
+        "9356624f636a4818654abcaf2f958f7e9a51ec5c1e9a42d65a13cf341860b422"),
 }
 
 
@@ -452,7 +484,7 @@ def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("method", ["hash", "lowdim", "sample", "uniform"])
+@pytest.mark.parametrize("method", ["hash", "sample", "uniform"])
 def test_cli_coreset_output_is_pinned(tmp_path, method):
     data_path = synth_csv(tmp_path, n=200, d=3, k=4, seed=12)
     out = tmp_path / "coreset.json"
@@ -465,7 +497,7 @@ def test_cli_coreset_output_is_pinned(tmp_path, method):
 @pytest.mark.parametrize("jl_dim", [None, 2])
 def test_sweep_output_is_pinned(jl_dim):
     rows = run_sweep(planted(n=150, d=4, k=3, seed=13), k=3,
-                     methods=("benchmark", "hash", "lowdim", "sample", "uniform"),
+                     methods=("benchmark", "hash", "sample", "uniform"),
                      budgets=(8, 32, 10**6), trials=2, seed=5, jl_dim=jl_dim)
     keep = [i for i, (col, _) in enumerate(REPORT_COLUMNS) if col not in TIMING_COLUMNS]
     table = list(csv.reader(io.StringIO(emit_report(rows, fmt="csv"))))

@@ -1,4 +1,4 @@
-"""The shared scale sweep behind the hash, low-dimensional and sample coverings."""
+"""The shared scale sweep behind the hash and sample coverings."""
 
 import hashlib
 import math
@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from kcover import covering, sampling
 from kcover.core import ConstructionFailedError, Dataset, first_occurrences
+from kcover.datasets import SyntheticSpec, generate_synthetic
 from kcover.covering import (
     HashCoveringConfig,
     build_covering_hash,
-    low_dim_baseline,
     scale_anchor,
     sweep_scales,
 )
@@ -34,8 +34,6 @@ def instances():
 BUILDS = {
     "hash-budget": lambda data: build_covering_hash(
         data, HashCoveringConfig(k=4, mode="budget", budget=10, seed=7)),
-    "lowdim": lambda data: low_dim_baseline(
-        data, HashCoveringConfig(k=4, mode="budget", budget=10, seed=7)),
     "sample": lambda data: build_covering_sample(
         data, SampleCoveringConfig(k=2, sample_constant=0.1, seed=7)),
 }
@@ -46,18 +44,12 @@ PINNED = {
     ("clusters", "hash-budget"): (
         [0, 1, 2, 3, 4, 5, 7, 18, 21, 25],
         6.0118196360582825, 6.0118196360582825, 6, (33, 24, 16, 7, 13, 10)),
-    ("clusters", "lowdim"): (
-        [0, 1, 2, 3, 4, 5, 6, 8, 20],
-        34.00798745541803, 34.00798745541803, 9, (35, 22, 18, 16, 16, 16, 9, 9, 9)),
     ("clusters", "sample"): (
         [39],
         84.0889480280295, 21.022237007007377, 1, (1,)),
     ("box", "hash-budget"): (
         [0, 1, 2, 3, 7, 18, 24, 28],
         11.025482360843949, 11.025482360843949, 7, (36, 34, 23, 11, 8, 7, 8)),
-    ("box", "lowdim"): (
-        [0, 1, 2, 3, 4, 10, 17, 21],
-        9.271288593676738, 9.271288593676738, 6, (36, 36, 24, 8, 16, 13)),
     ("box", "sample"): (
         [35],
         12.547238069469616, 3.136809517367404, 1, (1,)),
@@ -75,17 +67,13 @@ def test_coverings_match_pinned_values(instance, method):
 # (size, sha256 of the subset as little-endian int64, radius_bound, tau_used,
 # sizes) on 20k normal rows in d = 2 at budget 500: the subsample filter
 # runs (2 * 500 + 2048 < 20k rows) and the full passes at 665 and 507 cells
-# (660 and 501 unshifted) are rejected
+# are rejected
 FILTERED_BUDGET = 500
 FILTERED_PINNED = {
     "hash-budget": (
         374, "6152c1bec8153d44d20619d69165fef973ec266ca31855108b10a2ba704b19ad",
         0.4684618777142408, 0.4684618777142408,
         (2999, 2906, 2513, 1665, 734, 374, 665, 507)),
-    "lowdim": (
-        372, "085ab2df14ee4303435062d6158be497a17055b068ecf90f50ba80ca60b9a79b",
-        0.4684618777142408, 0.4684618777142408,
-        (3012, 2900, 2525, 1660, 734, 372, 660, 501)),
 }
 
 
@@ -99,8 +87,7 @@ def test_filtered_sweep_matches_pinned_values(method, monkeypatch):
         return eval_hash_batch(h, points)
 
     monkeypatch.setattr(covering, "eval_hash_batch", counting)
-    build = build_covering_hash if method == "hash-budget" else low_dim_baseline
-    result = build(data, HashCoveringConfig(k=8, budget=FILTERED_BUDGET, seed=3))
+    result = build_covering_hash(data, HashCoveringConfig(k=8, budget=FILTERED_BUDGET, seed=3))
     digest = hashlib.sha256(result.subset.astype("<i8").tobytes()).hexdigest()
     assert (result.size, digest, result.radius_bound, result.tau_used,
             result.sizes) == FILTERED_PINNED[method]
@@ -109,15 +96,13 @@ def test_filtered_sweep_matches_pinned_values(method, monkeypatch):
     assert len(rows_hashed) > full_passes > accepted
 
 
-@pytest.mark.parametrize("method", ["hash-budget", "lowdim", "sample"])
+@pytest.mark.parametrize("method", ["hash-budget", "sample"])
 def test_duplicate_rows_collapse_to_lowest_index(method):
     # three distinct rows, one of them written both as 0.0 and as -0.0
     data = Dataset([[0.0, 1.0], [2.0, 3.0], [-0.0, 1.0], [2.0, 3.0],
                     [0.0, 1.0], [5.0, -1.0], [5.0, -1.0]])
     build = {
         "hash-budget": lambda: build_covering_hash(
-            data, HashCoveringConfig(k=3, mode="budget", budget=3, seed=1)),
-        "lowdim": lambda: low_dim_baseline(
             data, HashCoveringConfig(k=3, mode="budget", budget=3, seed=1)),
         "sample": lambda: build_covering_sample(data, SampleCoveringConfig(k=3, seed=1)),
     }[method]
@@ -127,7 +112,7 @@ def test_duplicate_rows_collapse_to_lowest_index(method):
     assert result.iterations == 1 and result.sizes == (3,)
 
 
-@pytest.mark.parametrize("build", [build_covering_hash, low_dim_baseline])
+@pytest.mark.parametrize("build", [build_covering_hash])
 def test_budget_below_the_distinct_rows_of_a_zero_cost_instance(build):
     # 3 distinct rows and k = 3: the optimum is 0, but the collapse does not
     # fit the budget of 2, so the search starts from the spread instead
@@ -210,9 +195,21 @@ def test_sweep_that_never_fits_reports_every_scale(budget_mode):
 
 
 def edge_instance(name, seed):
-    """(data, k) for the edge cases: d = 1, k = n, large coordinate offsets, and
-    rows so duplicated that the anchor's sample sees at most k distinct ones."""
+    """(data, k) for the edge cases: d = 1, k = n, large coordinate offsets,
+    rows so duplicated that the anchor's sample sees at most k distinct ones,
+    clusters that straddle the origin, and the sample-exact benchmark shape."""
     rng = np.random.default_rng(seed)
+    if name == "centered-d8":
+        return Dataset(rng.normal(size=(2000, 8))), 5
+    if name == "origin-pair":
+        # two tight clusters, one on the origin: a grid whose cell boundaries
+        # always pass through the origin splits the first at every scale
+        coords = rng.normal(scale=1e-3, size=(1000, 4))
+        coords[500:] += 1e15
+        return Dataset(coords), 2
+    if name == "planted-10k":
+        spec = SyntheticSpec("gaussian_mixture", n=10_000, d=8, k_planted=20, seed=seed)
+        return generate_synthetic(spec)[0], 20
     if name == "d1":
         return Dataset(rng.normal(scale=10.0, size=(300, 1))), 4
     if name == "k-equals-n":
@@ -229,8 +226,6 @@ def edge_instance(name, seed):
 EDGE_BUILDS = {
     "hash-budget": lambda data, k, seed: build_covering_hash(
         data, HashCoveringConfig(k=k, mode="budget", budget=min(data.n, 8 * k), seed=seed)),
-    "lowdim": lambda data, k, seed: low_dim_baseline(
-        data, HashCoveringConfig(k=k, mode="budget", budget=min(data.n, 8 * k), seed=seed)),
     "sample": lambda data, k, seed: build_covering_sample(
         data, SampleCoveringConfig(k=k, seed=seed)),
 }
@@ -238,7 +233,8 @@ EDGE_BUILDS = {
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("method", sorted(EDGE_BUILDS))
-@pytest.mark.parametrize("instance", ["d1", "k-equals-n", "offset-1e8", "duplicate-heavy"])
+@pytest.mark.parametrize("instance", ["d1", "k-equals-n", "offset-1e8", "duplicate-heavy",
+                                      "centered-d8", "origin-pair", "planted-10k"])
 def test_edge_case_coverings_sound(instance, method, seed):
     data, k = edge_instance(instance, seed)
     if instance == "duplicate-heavy":
@@ -246,6 +242,8 @@ def test_edge_case_coverings_sound(instance, method, seed):
     result = EDGE_BUILDS[method](data, k, seed)
     assert covering_ok(data.coords, result.subset, result.radius_bound)
     assert result.size <= data.n if k == data.n else result.size < data.n
+    if instance == "origin-pair":
+        assert result.radius_bound < 1.0
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e8])
@@ -264,7 +262,7 @@ def test_budget_that_every_scale_fits_stops_halving(offset):
 
 
 @pytest.mark.parametrize("budget", [300, 301])
-@pytest.mark.parametrize("build", [build_covering_hash, low_dim_baseline])
+@pytest.mark.parametrize("build", [build_covering_hash])
 def test_budget_of_n_keeps_the_exact_collapse(build, budget):
     # any budget of n or more fits the duplicate collapse, at radius 0
     rows = np.random.default_rng(6).normal(size=(150, 3))
