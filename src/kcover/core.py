@@ -24,6 +24,16 @@ and the row's exact minimum lies in ``[est - 2B, est + 2B]``. Rows whose
 upper end is below the largest lower end cannot hold the maximum; the few
 rows left go through ``_nearest_sq``, so the result is exact.
 
+A sampling round needs only whether some member lies within a radius of
+each row, and ``_screen_farther`` answers that with the same bracket. It
+screens members in chunks of doubling size and drops a row at the first
+chunk whose upper end lies below radius^2, so a covered row costs one
+small chunk rather than all members; a row whose lower end over all members
+lies above radius^2 is far. It leaves open only the rows near the radius,
+which the oracle sends to ``_nearest_sq``. All three screens give up on a
+row whose coordinates are large enough for the GEMM to overflow
+(``_slack``) and leave it to exact values.
+
 Exact row dedup, of grid cells and of coordinates alike, is one routine,
 ``first_occurrences``, built on sorting rather than ``np.unique``: one
 64-bit key per row, one unstable argsort of the keys, and an exact check of
@@ -43,8 +53,13 @@ MAX_SEED = 2**64
 
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
+_MAX = np.finfo(np.float64).max
 # cap on the float64 values in one block buffer of the nearest-member kernel
 _BLOCK_ELEMS = 1 << 16
+# members in the first chunk of _screen_farther; each next chunk doubles
+_FIRST_CHUNK = 32
+# fixed seed of _screen_farther's member visit order; no result depends on it
+_VISIT_SEED = 0x6661727468
 # fixed seed of the row-mix multipliers; no dedup result depends on it
 _MIX_SEED = 0x6B636F766572
 
@@ -117,18 +132,29 @@ class Dataset:
         return f"Dataset(n={self.n}, d={self.d})"
 
 
-def index_subset(indices, n) -> np.ndarray:
-    """Canonical row-index subset: sorted, distinct, int64, all in [0, n).
+def row_indices(indices) -> np.ndarray:
+    """int64 copy of a nonempty array of row indices, read-only.
 
     Any dtype but integer raises: a float or bool index is never truncated
-    to a row.
+    to a row. An empty list, which numpy reads as float64, raises as empty:
+    no subset or solution holds zero rows.
     """
     arr = np.asarray(indices)
     if arr.size == 0:
-        raise ValueError("index subset must be nonempty")
+        raise ValueError("row indices must be nonempty")
     if arr.dtype.kind not in "iu":
         raise ValueError("row indices must be integers")
-    idx = arr.ravel().astype(np.int64)
+    idx = arr.astype(np.int64)
+    idx.setflags(write=False)
+    return idx
+
+
+def index_subset(indices, n) -> np.ndarray:
+    """Canonical row-index subset: sorted, distinct, int64, all in [0, n).
+
+    The indices are checked as row_indices checks them.
+    """
+    idx = row_indices(indices).ravel()
     if idx.min() < 0 or idx.max() >= n:
         raise ValueError(f"indices must lie in [0, {n})")
     return sorted_distinct(idx)
@@ -265,7 +291,7 @@ def _exact_sq(points: np.ndarray, members: np.ndarray, rows, cols) -> np.ndarray
 def _screen_frame(members: np.ndarray):
     """(origin, screen_by, bound, base) of the GEMM screen over the members.
 
-    Both screens translate points and members to the midpoint o of the
+    Every screen translates points and members to the midpoint o of the
     members' bounding box, so x and c below are x - o and c - o. screen_by
     is the (d + 1) x m matrix [-2 c^T; |c|^2]: a point row [x, 1] times it
     gives h_j = -2 x.c_j + |c_j|^2, which differs from the exact value e_j
@@ -295,6 +321,20 @@ def _screen_frame(members: np.ndarray):
     return origin, screen_by, bound, base
 
 
+def _slack(xx: np.ndarray, bound: float, base: float) -> np.ndarray:
+    """2B for rows with |x|^2 = xx, or inf where the screen may have overflowed.
+
+    Below 2B = bound * MAX / 2, |x|^2 + max |c|^2 < MAX / 4, so no partial
+    sum of a screen value (at most |x|^2 + 2 |c|^2 in magnitude) or of an
+    exact squared distance overflows, and _screen_frame's bound holds for
+    every member. Beyond it a single product can overflow to -inf even at a
+    member that coincides with the row, so the row's screen bounds nothing.
+    """
+    slack = 2.0 * (bound * xx + base)
+    slack[np.logical_not(slack < 0.5 * bound * _MAX)] = np.inf
+    return slack
+
+
 def _nearest_sq(points: np.ndarray, members: np.ndarray):
     """(position of the nearest member, its squared distance) for every row.
 
@@ -307,8 +347,8 @@ def _nearest_sq(points: np.ndarray, members: np.ndarray):
     bound, a member whose screen exceeds the row's minimum by more than 2B
     is strictly farther than the screened winner. Rows with another member
     inside that window are re-checked on exact values over the members
-    inside it; a NaN screen (overflowed coordinates) keeps every member of
-    its row inside.
+    inside it; a row whose screen may have overflowed (_slack is inf) keeps
+    every member inside.
     """
     keep = first_occurrences(members)[1]
     members = members[keep]
@@ -328,7 +368,7 @@ def _nearest_sq(points: np.ndarray, members: np.ndarray):
         r = np.arange(b)
         pos = h.argmin(axis=1)
         low = h[r, pos]
-        thr = low + 2.0 * (bound * np.einsum("ij,ij->i", xo, xo) + base)
+        thr = low + _slack(np.einsum("ij,ij->i", xo, xo), bound, base)
         h[r, pos] = np.inf
         amb = np.flatnonzero(np.logical_not(h[r, h.argmin(axis=1)] > thr))
         diff = x - members[pos]
@@ -390,6 +430,69 @@ def _farthest_sq(points: np.ndarray, members: np.ndarray) -> float:
         top[s:s + b] = np.where(np.isfinite(est), est + slack, np.inf)
     rows = np.flatnonzero(np.logical_not(top < floor))
     return _nearest_sq(points[rows], members)[1].max()
+
+
+def _screen_farther(points: np.ndarray, members: np.ndarray, radius: float):
+    """(mask of the rows proved farther than radius, indices of the undecided).
+
+    A row is far when sqrt(_nearest_sq(points, members)[1]) > radius. The
+    screen is _farthest_sq's member-major GEMM over chunks of members:
+    _FIRST_CHUNK members first, each next chunk twice the last (capped at
+    _BLOCK_ELEMS, so one row's screen fits a block buffer). By
+    _screen_frame's bound, a row's exact squared distance to a chunk's
+    nearest member lies within 2B of est, the chunk's screened minimum, so:
+
+    - est + 2B below radius^2 (less a relative 4 eps and tiny) puts a
+      member within radius: the row is covered and leaves the scan;
+    - est - 2B above radius^2 (plus the same margin) over all members makes
+      the row far.
+
+    The margins absorb the rounding of radius^2 and of the square root, so
+    both calls agree with the exact kernel. The rows left between them, and
+    those with an infinite _slack, are undecided. The answer does not
+    depend on the order members are visited in, so they go in a fixed
+    shuffled order: on rows sorted by coordinates, index order would put a
+    row's near members in the last chunks. Besides block buffers, the scan
+    keeps only per-row vectors.
+    """
+    n, d = points.shape
+    m = members.shape[0]
+    visit = np.random.default_rng(_VISIT_SEED).permutation(m)
+    origin, screen_by, bound, base = _screen_frame(members[visit])
+    by_member = screen_by.T
+    column = origin[:, None]
+    r2 = radius * radius
+    covered_below = r2 * (1.0 - 4.0 * _EPS) - _TINY
+    far_above = r2 * (1.0 + 4.0 * _EPS) + _TINY
+    live = np.arange(n)
+    # est - 2B of each live row over the members seen so far
+    lower = np.full(n, np.inf)
+    start, chunk = 0, _FIRST_CHUNK
+    while start < m and live.size:
+        chunk = min(chunk, _BLOCK_ELEMS)
+        by = by_member[start:start + chunk]
+        c = by.shape[0]
+        step = max(1, min(live.size, _BLOCK_ELEMS // max(c, d + 1)))
+        shifted = np.ones((d + 1, step))
+        screen = np.empty(c * step)
+        stay = np.empty(live.size, dtype=bool)
+        for s in range(0, live.size, step):
+            rows = live[s:s + step]
+            b = rows.size
+            xo = np.subtract(points[rows].T, column, out=shifted[:d, :b])
+            h = np.matmul(by, shifted[:, :b], out=screen[:c * b].reshape(c, b))
+            xx = np.einsum("ij,ij->j", xo, xo)
+            est = h.min(axis=0) + xx
+            slack = _slack(xx, bound, base)
+            np.minimum(lower[s:s + b], est - slack, out=lower[s:s + b])
+            stay[s:s + b] = np.logical_not(est + slack < covered_below)
+        live, lower = live[stay], lower[stay]
+        start += c
+        chunk *= 2
+    decided = np.isfinite(lower) & (lower > far_above)
+    far = np.zeros(n, dtype=bool)
+    far[live[decided]] = True
+    return far, live[~decided]
 
 
 def cost(dataset: Dataset, centers) -> float:

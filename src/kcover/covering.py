@@ -40,6 +40,7 @@ from .core import (
     column_extents,
     first_occurrences,
     rng_stream,
+    row_indices,
     row_keys,
     sorted_distinct,
 )
@@ -79,9 +80,7 @@ class CoveringResult:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sub = np.asarray(self.subset, dtype=np.int64)
-        sub.setflags(write=False)
-        object.__setattr__(self, "subset", sub)
+        object.__setattr__(self, "subset", row_indices(self.subset))
 
     @property
     def size(self) -> int:
@@ -119,10 +118,9 @@ def reduce_covering(dataset: Dataset, outer: CoveringResult, inner_builder) -> C
     """
     sub_dataset = dataset.take(outer.subset)
     inner = inner_builder(sub_dataset)
-    inner_subset = np.asarray(inner.subset, dtype=np.int64)
-    if inner_subset.size == 0 or inner_subset.min() < 0 or inner_subset.max() >= outer.subset.shape[0]:
+    if inner.subset.min() < 0 or inner.subset.max() >= outer.subset.shape[0]:
         raise ValueError("inner covering does not index into the outer subset")
-    final = np.sort(outer.subset[inner_subset])
+    final = np.sort(outer.subset[inner.subset])
     return CoveringResult(subset=final,
                           radius_bound=float(outer.radius_bound + inner.radius_bound),
                           tau_used=inner.tau_used,

@@ -5,13 +5,19 @@ nearest member and the distance to it. Both come from the blocked kernel
 ``core._nearest_sq``, so they are exactly what one ``sq_dists_to_point``
 pass per member gives: coincident rows are at 0.0 and exact ties go to the
 lowest row index.
+
+``farther_than`` answers the covered test a sampling round needs, whether
+a row's nearest member is farther than a radius, with exactly the values
+``query_many`` gives. The screen ``core._screen_farther`` decides most
+rows and stops scanning a row at the first member chunk that covers it;
+the rows it leaves open go to ``query_many``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, _nearest_sq, index_subset
+from .core import Dataset, _nearest_sq, _screen_farther, index_subset
 
 
 class ExactOracle:
@@ -24,6 +30,21 @@ class ExactOracle:
     def query_many(self, points: np.ndarray):
         pos, d2 = _nearest_sq(np.asarray(points, dtype=np.float64), self.members)
         return self.built_on[pos], np.sqrt(d2)
+
+    def farther_than(self, points: np.ndarray, radius: float) -> np.ndarray:
+        """Mask of the rows whose nearest member is farther than radius.
+
+        Bit-identical to ``query_many(points)[1] > radius``. The rows the
+        screen leaves open (within a few ulps of radius, or beyond its
+        overflow-free range) go to query_many in one call, which may have
+        no rows.
+        """
+        if not radius >= 0.0:
+            raise ValueError("radius must be a nonnegative number")
+        points = np.asarray(points, dtype=np.float64)
+        far, open_rows = _screen_farther(points, self.members, float(radius))
+        far[open_rows] = self.query_many(points[open_rows])[1] > radius
+        return far
 
 
 def build_oracle(dataset: Dataset, subset) -> ExactOracle:

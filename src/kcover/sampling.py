@@ -1,9 +1,11 @@
 """Covering construction by repeated uniform sampling.
 
 At a candidate radius tau, each round draws a batch of uniform samples from
-the not-yet-covered pool, finds each pool point's exact distance to its
-nearest batch member (neighbor.ExactOracle, on the blocked kernel), and
-removes every pool point within 4 tau of the batch. When tau is at least
+the not-yet-covered pool and removes every pool point within 4 tau of the
+batch. The test is neighbor.ExactOracle.farther_than: a screen that stops
+scanning a point once some chunk of the batch holds a member within 4 tau,
+with the few points it cannot decide sent to the exact kernel, so the
+removed set is exactly the one exact distances give. When tau is at least
 the true cost, a batch of Theta(k log n) samples halves the pool with
 constant probability, so a logarithmic number of rounds empties it; the
 union of all batches is then a covering with radius bound 4 tau.
@@ -77,8 +79,8 @@ def run_sampling_rounds(dataset: Dataset, tau: float, cfg: SampleCoveringConfig,
         batch = sample_with_replacement(pool, m, cfg.seed, stream=(tau_index, j))
         batches.append(batch)
         total += batch.shape[0]
-        _, dists = build_oracle(dataset, batch).query_many(dataset.coords[pool])
-        pool = pool[dists > removal_radius]
+        oracle = build_oracle(dataset, batch)
+        pool = pool[oracle.farther_than(dataset.coords[pool], removal_radius)]
         if pool.size == 0:
             return sorted_distinct(np.concatenate(batches)), total
     return None, total

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, cost, sq_dists_to_point
+from .core import Dataset, cost, row_indices, sq_dists_to_point
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,9 +25,7 @@ class CenterSolution:
     solve_seconds: float
 
     def __post_init__(self):
-        c = np.asarray(self.centers, dtype=np.int64)
-        c.setflags(write=False)
-        object.__setattr__(self, "centers", c)
+        object.__setattr__(self, "centers", row_indices(self.centers))
 
 
 def gonzalez(dataset: Dataset, k: int, start_index: int = 0) -> CenterSolution:
@@ -75,8 +73,6 @@ def evaluate_on_full(dataset: Dataset, coreset_rows, solution: CenterSolution) -
     """
     rows = np.asarray(coreset_rows).ravel()
     centers = solution.centers
-    if centers.size == 0:
-        raise ValueError("solution has no centers")
     if centers.min() < 0 or centers.max() >= rows.size:
         raise ValueError("solution centers do not index into coreset_rows")
     # cost checks that the mapped rows are integer row indices of the dataset

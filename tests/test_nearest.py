@@ -5,7 +5,8 @@ must return exactly what one sq_dists_to_point pass per member returns: the
 same squared distances bit for bit, exact zeros for coincident rows, and
 the lowest member position on exact ties. cost screens for the farthest row
 and must return the square root of the largest of those distances, bit for
-bit.
+bit. ExactOracle.farther_than screens for the rows farther than a radius
+and must mark exactly the rows whose square-rooted distance exceeds it.
 """
 
 from unittest import mock
@@ -24,6 +25,8 @@ from conftest import nearest_member_loop
 # a block cap of 64 values puts a few rows in each block, so n is rarely a
 # multiple of the block; the default cap keeps these instances in one block
 BLOCK_CAPS = (64, core._BLOCK_ELEMS)
+# a first chunk of one member gives these small instances many chunks
+FIRST_CHUNKS = (1, core._FIRST_CHUNK)
 
 
 @st.composite
@@ -148,6 +151,20 @@ def test_cost_where_the_screen_overflows(cap):
 
 
 @pytest.mark.parametrize("cap", BLOCK_CAPS)
+def test_cost_of_rows_near_1e154(cap):
+    # the candidate rows go through the exact kernel, whose blocked screen
+    # overflows to -inf at members that coincide with a row
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-1.3e154, 1.3e154, size=(200, 1 + seed % 3))
+        members = rng.choice(200, size=int(rng.integers(1, 30)), replace=False)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                mock.patch.object(core, "_BLOCK_ELEMS", cap):
+            got = cost(Dataset(points), members)
+        assert got == loop_cost(points, points[np.sort(members)])
+
+
+@pytest.mark.parametrize("cap", BLOCK_CAPS)
 def test_cost_rows_on_a_sphere(cap):
     # unit distance from the nearest member up to rounding, with members
     # 2e3 apart: the screen's rounding (about eps * 1e6) exceeds the spread
@@ -184,6 +201,24 @@ def test_query_many_equals_per_member_loop(inst, cap):
         idx, dists = oracle.query_many(queries)
     assert np.array_equal(idx, oracle.built_on[want_pos])
     assert np.array_equal(dists, np.sqrt(want_d2))
+
+
+@pytest.mark.parametrize("cap", BLOCK_CAPS)
+def test_query_many_where_the_screen_overflows(cap):
+    # rows near 1e154 on a line: in a block GEMM, -2 x.c overflows to -inf
+    # even at a member that coincides with the row, so the screen's minimum
+    # names no member and every member is re-checked on exact values
+    rng = np.random.default_rng(31)
+    points = rng.uniform(-1.2e154, 1.2e154, size=(300, 1))
+    members = rng.choice(300, size=25, replace=False)
+    oracle = ExactOracle(Dataset(points), members)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_pos, want_d2 = nearest_member_loop(points, oracle.members)
+        with mock.patch.object(core, "_BLOCK_ELEMS", cap):
+            idx, dists = oracle.query_many(points)
+    assert np.array_equal(idx, oracle.built_on[want_pos])
+    assert np.array_equal(dists, np.sqrt(want_d2))
+    assert np.all(dists[members] == 0.0)
 
 
 def test_coincident_rows_are_exactly_zero():
@@ -289,3 +324,111 @@ def test_near_ties_resolved_on_exact_values():
     want_pos, want_d2 = nearest_member_loop(points, members)
     pos, d2 = core._nearest_sq(points, members)
     assert np.array_equal(pos, want_pos) and np.array_equal(d2, want_d2)
+
+
+def loop_farther(points, members, radius):
+    """farther_than's reference: per-member-loop distances above radius."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(nearest_member_loop(points, members)[1]) > radius
+
+
+def radii_at(dists):
+    """Every finite distance, and its float neighbours, as a radius."""
+    dists = dists[np.isfinite(dists)]
+    radii = np.concatenate([dists, np.nextafter(dists, -np.inf), np.nextafter(dists, np.inf)])
+    return np.unique(np.maximum(radii, 0.0))
+
+
+def check_farther_than(oracle, points, radii, cap, first=core._FIRST_CHUNK):
+    with mock.patch.object(core, "_BLOCK_ELEMS", cap), \
+            mock.patch.object(core, "_FIRST_CHUNK", first), \
+            np.errstate(over="ignore", invalid="ignore"):
+        for radius in radii:
+            got = oracle.farther_than(points, radius)
+            assert got.dtype == bool
+            assert np.array_equal(got, loop_farther(points, oracle.members, radius)), radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(), st.sampled_from(BLOCK_CAPS), st.sampled_from(FIRST_CHUNKS), st.data())
+def test_farther_than_equals_per_member_loop(inst, cap, first, data):
+    points, members, queries = inst
+    oracle = ExactOracle(Dataset(points), members)
+    rows = np.vstack([points, queries])
+    dists = np.sqrt(nearest_member_loop(rows, oracle.members)[1])
+    # a radius equal to a row's exact distance keeps that row covered
+    radius = data.draw(st.sampled_from(radii_at(dists).tolist()))
+    check_farther_than(oracle, rows, [radius], cap, first)
+
+
+@pytest.mark.parametrize("cap", BLOCK_CAPS)
+def test_farther_than_where_the_screen_overflows(cap):
+    # -2 x.c + |c|^2 overflows for the far member of the last row, whose
+    # exact distance to the near member is finite
+    line = np.array([[-0.75e154], [0.75e154], [1.3e154]])
+    oracle = ExactOracle(Dataset(line), [0, 1])
+    dists = np.sqrt(nearest_member_loop(line, line[:2])[1])
+    check_farther_than(oracle, line, radii_at(dists), cap)
+    # rows near 1e154 in a few dimensions: some screens overflow, and some
+    # exact distances to far members do too
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 3):
+        points = rng.uniform(-1.2e154, 1.2e154, size=(300, d))
+        points[::7] = points[1::7] + rng.normal(size=(43, d)) * 1e140
+        oracle = ExactOracle(Dataset(points), rng.choice(300, size=25, replace=False))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dists = np.sqrt(nearest_member_loop(points, oracle.members)[1])
+        radii = radii_at(dists)
+        check_farther_than(oracle, points, radii[::max(1, radii.size // 40)], cap, 1)
+        check_farther_than(oracle, points, [1.34e154, 1e200, np.inf], cap)
+
+
+@pytest.mark.parametrize("cap", BLOCK_CAPS)
+def test_farther_than_on_coordinate_sorted_rows(cap):
+    # near members of sorted rows sit together in index order; the screen
+    # visits members in a fixed shuffled order instead, with the same answer
+    rng = np.random.default_rng(37)
+    points = rng.normal(size=(3000, 4)) * 10.0
+    points = points[np.lexsort(points.T[::-1])]
+    oracle = ExactOracle(Dataset(points), rng.choice(3000, size=400, replace=False))
+    dists = np.sqrt(nearest_member_loop(points, oracle.members)[1])
+    radii = np.quantile(dists, [0.0, 0.1, 0.5, 0.9, 1.0])
+    check_farther_than(oracle, points, np.concatenate([radii, radii_at(dists[:5])]), cap)
+
+
+@pytest.mark.parametrize("cap", BLOCK_CAPS)
+def test_farther_than_with_duplicate_members(cap):
+    # 60 rows share one coordinate, so the oracle holds 60 equal members
+    rng = np.random.default_rng(41)
+    points = np.vstack([np.full((60, 3), 1e8 + 0.5), rng.normal(size=(200, 3)) + 1e8])
+    oracle = ExactOracle(Dataset(points), np.arange(80))
+    dists = np.sqrt(nearest_member_loop(points, oracle.members)[1])
+    check_farther_than(oracle, points, radii_at(dists)[::5], cap, 1)
+    check_farther_than(oracle, points, [0.0], cap)
+
+
+def test_farther_than_decides_most_rows_by_screen(monkeypatch):
+    rng = np.random.default_rng(43)
+    data = Dataset(rng.normal(size=(5000, 6)))
+    oracle = ExactOracle(data, rng.choice(5000, size=300, replace=False))
+    sizes = []
+    query_many = ExactOracle.query_many
+
+    def counting(self, points):
+        sizes.append(points.shape[0])
+        return query_many(self, points)
+
+    monkeypatch.setattr(ExactOracle, "query_many", counting)
+    dists = np.sqrt(nearest_member_loop(data.coords, oracle.members)[1])
+    for radius in np.quantile(dists, [0.1, 0.5, 0.9]):
+        got = oracle.farther_than(data.coords, radius)
+        assert np.array_equal(got, dists > radius)
+    assert len(sizes) == 3 and sum(sizes) <= 0.01 * data.n
+
+
+def test_farther_than_rejects_a_bad_radius():
+    oracle = ExactOracle(Dataset(np.arange(4.0)), [0, 2])
+    for radius in (-1.0, np.nan):
+        with pytest.raises(ValueError):
+            oracle.farther_than(oracle.members, radius)
+    assert oracle.farther_than(np.empty((0, 1)), 1.0).shape == (0,)

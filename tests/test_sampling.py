@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kcover import sampling
+from kcover import SyntheticSpec, generate_synthetic, neighbor, sampling
 from kcover.core import STREAM_ROUND_SAMPLE, Dataset, rng_stream
 from kcover.sampling import (
     SampleCoveringConfig,
@@ -193,3 +193,36 @@ def test_config_validation():
         build_covering_sample(data, SampleCoveringConfig(k=6))
     with pytest.raises(ValueError):
         build_covering_sample(data, SampleCoveringConfig(k=1, sample_constant=0.0))
+
+
+def test_rounds_send_few_rows_to_the_exact_kernel(monkeypatch):
+    # the benchmark's sample-exact shape: each round's covered test is
+    # decided by the screen for all but at most 1% of its pool, with one
+    # exact-kernel call per oracle
+    data, _ = generate_synthetic(SyntheticSpec("gaussian_mixture", n=10_000, d=8,
+                                               k_planted=20, seed=3))
+    rounds, oracles = [], []
+    farther_than = neighbor.ExactOracle.farther_than
+    query_many = neighbor.ExactOracle.query_many
+    build_oracle = sampling.build_oracle
+
+    def screened(self, points, radius):
+        rounds.append([points.shape[0]])
+        return farther_than(self, points, radius)
+
+    def exact(self, points):
+        rounds[-1].append(points.shape[0])
+        return query_many(self, points)
+
+    def built(*args):
+        oracles.append(None)
+        return build_oracle(*args)
+
+    monkeypatch.setattr(neighbor.ExactOracle, "farther_than", screened)
+    monkeypatch.setattr(neighbor.ExactOracle, "query_many", exact)
+    monkeypatch.setattr(sampling, "build_oracle", built)
+    for seed in range(4):
+        build_covering_sample(data, SampleCoveringConfig(k=20, seed=seed))
+    assert len(rounds) == len(oracles) >= 4
+    for pool, *sent in rounds:
+        assert len(sent) == 1 and sent[0] <= 0.01 * pool

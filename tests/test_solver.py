@@ -227,3 +227,37 @@ def test_array_holding_results_compare_by_identity(make):
     a, b = make(), make()
     assert a == a and a != b
     assert len({a, b, a}) == 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda rows: CoveringResult(subset=rows, radius_bound=1.0, tau_used=1.0, sizes=(3,)),
+    lambda rows: CenterSolution(centers=rows, cost_on_solve_set=1.0, solve_seconds=0.0),
+], ids=["CoveringResult", "CenterSolution"])
+@pytest.mark.parametrize("bad", [[0.5, 1.9, 3.99], [True, False], np.array([0.7, 2.2]), []],
+                         ids=["float", "bool", "float-array", "empty"])
+def test_result_indices_must_be_integers(make, bad):
+    # a float index never truncates to a row; an empty list (float64 to
+    # numpy) holds no row, and no covering or solution is empty
+    with pytest.raises(ValueError):
+        make(bad)
+
+
+def test_result_indices_keep_integer_input():
+    cov = CoveringResult(subset=np.array([4, 0, 2], dtype=np.uint8), radius_bound=1.0,
+                         tau_used=1.0, sizes=(3,))
+    sol = CenterSolution(centers=[2, 5], cost_on_solve_set=1.0, solve_seconds=0.0)
+    assert cov.subset.dtype == sol.centers.dtype == np.int64
+    assert cov.subset.tolist() == [4, 0, 2] and sol.centers.tolist() == [2, 5]
+    assert not cov.subset.flags.writeable and not sol.centers.flags.writeable
+
+
+def test_reduce_rejects_float_inner_subset():
+    data = Dataset(np.arange(5.0))
+    outer = CoveringResult(subset=np.array([0, 2, 4]), radius_bound=1.0,
+                           tau_used=1.0, sizes=(3,))
+
+    def fractional(sub):
+        return CoveringResult(subset=[0.9, 1.8], radius_bound=0.0, tau_used=0.0, sizes=(2,))
+
+    with pytest.raises(ValueError):
+        reduce_covering(data, outer, fractional)
