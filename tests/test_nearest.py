@@ -9,6 +9,7 @@ bit. ExactOracle.farther_than screens for the rows farther than a radius
 and must mark exactly the rows whose square-rooted distance exceeds it.
 """
 
+import threading
 from unittest import mock
 
 import numpy as np
@@ -405,6 +406,34 @@ def test_farther_than_with_duplicate_members(cap):
     dists = np.sqrt(nearest_member_loop(points, oracle.members)[1])
     check_farther_than(oracle, points, radii_at(dists)[::5], cap, 1)
     check_farther_than(oracle, points, [0.0], cap)
+
+
+def test_screen_farther_ignores_what_its_scratch_held():
+    # the block buffers live in a per-thread scratch kept between calls; a
+    # call of the same shape takes no new one, stale values left in it
+    # (NaN here) change neither decided nor open rows, and another thread
+    # gets a scratch of its own
+    rng = np.random.default_rng(47)
+    points = rng.normal(size=(2000, 5)) * 3.0
+    members = points[rng.choice(2000, size=150, replace=False)]
+    radius = float(np.median(np.sqrt(nearest_member_loop(points, members)[1])))
+    far, open_rows = core._screen_farther(points, members, radius)
+    decided = np.ones(2000, dtype=bool)
+    decided[open_rows] = False
+    assert np.array_equal(far[decided], loop_farther(points, members, radius)[decided])
+    scratch = core._scratch.buf
+    scratch.fill(np.nan)
+    again = core._screen_farther(points, members, radius)
+    assert core._scratch.buf is scratch
+    assert np.array_equal(again[0], far) and np.array_equal(again[1], open_rows)
+    other = []
+    thread = threading.Thread(target=lambda: other.append(
+        (core._screen_farther(points, members, radius), core._scratch.buf)))
+    thread.start()
+    thread.join()
+    (far_there, open_there), scratch_there = other[0]
+    assert scratch_there is not scratch
+    assert np.array_equal(far_there, far) and np.array_equal(open_there, open_rows)
 
 
 def test_farther_than_decides_most_rows_by_screen(monkeypatch):
