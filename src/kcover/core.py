@@ -17,24 +17,17 @@ buffer holds at most ``_BLOCK_ELEMS`` float64 values (512 KiB), and a block
 at least one row. Members are collapsed to their first occurrences before
 the screen, so copies of one member never widen a row's re-check window.
 
-``cost`` needs only the largest of those distances, and ``_farthest_sq``
-gets it without a per-row argmin. The same GEMM, laid out one row per
-member, gives each row's screened minimum est as an elementwise minimum,
-and the row's exact minimum lies in ``[est - 2B, est + 2B]``. Rows whose
-upper end is below the largest lower end cannot hold the maximum; the few
-rows left go through ``_nearest_sq``, so the result is exact.
-
-A sampling round needs only whether some member lies within a radius of
-each row, and ``_screen_farther`` answers that with the same bracket. It
-screens members in chunks of doubling size and drops a row at the first
-chunk whose upper end lies below radius^2, so a covered row costs one
-small chunk rather than all members; a row whose lower end over all members
-lies above radius^2 is far. It leaves open only the rows near the radius,
-which the oracle sends to ``_nearest_sq``. Its block buffers are a
-per-thread scratch kept between calls (``_scratch_buffer``); beyond it
-the screen allocates only per-row vectors. All three screens give up on a
-row whose coordinates are large enough for the GEMM to overflow
-(``_slack``) and leave it to exact values.
+``cost`` and a sampling round's covered test (``_screen_farther``) need
+less, and share one member-major scan, ``_bracket_scan``: the same GEMM,
+one row per member, brackets each row's exact minimum within 2B of an
+elementwise minimum, over member chunks of doubling size, and a row leaves
+the scan once its upper end falls below the caller's threshold. Only the
+rows the brackets leave open (for ``cost`` the candidates for the farthest
+row, for the covered test the rows near the radius) go to ``_nearest_sq``.
+The scan's block buffers are a per-thread scratch kept between calls
+(``_scratch_buffer``). Both screens give up on a row whose coordinates are
+large enough for the GEMM to overflow (``_slack``) and leave it to exact
+values.
 
 Exact row dedup, of grid cells and of coordinates alike, is one routine,
 ``first_occurrences``, built on sorting rather than ``np.unique``: one
@@ -59,9 +52,9 @@ _TINY = np.finfo(np.float64).tiny
 _MAX = np.finfo(np.float64).max
 # cap on the float64 values in one block buffer of the nearest-member kernel
 _BLOCK_ELEMS = 1 << 16
-# members in the first chunk of _screen_farther; each next chunk doubles
+# members in the first chunk of _screen_farther's scan; each next chunk doubles
 _FIRST_CHUNK = 32
-# fixed seed of _screen_farther's member visit order; no result depends on it
+# fixed seed of _bracket_scan's member visit order; no result depends on it
 _VISIT_SEED = 0x6661727468
 # fixed seed of the row-mix multipliers; no dedup result depends on it
 _MIX_SEED = 0x6B636F766572
@@ -355,9 +348,11 @@ def _nearest_sq(points: np.ndarray, members: np.ndarray):
     inside it; a row whose screen may have overflowed (_slack is inf) keeps
     every member inside.
     """
+    n, d = points.shape
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0)
     keep = first_occurrences(members)[1]
     members = members[keep]
-    n, d = points.shape
     m = members.shape[0]
     best = np.empty(n)
     arg = np.empty(n, dtype=np.int64)
@@ -392,55 +387,10 @@ def _nearest_sq(points: np.ndarray, members: np.ndarray):
     return keep[arg], best
 
 
-def _farthest_sq(points: np.ndarray, members: np.ndarray) -> float:
-    """Max over rows of the squared distance to the nearest member, exactly.
-
-    The same value as _nearest_sq(points, members)[1].max(), without the
-    per-row nearest member. Each block's screen is member-major, one row per
-    member, so a row's screened minimum est = min_j h_j + |x|^2 is an
-    elementwise minimum over contiguous member rows. By _screen_frame's
-    bound every h_j + |x|^2 lies within B of e_j, so est lies within B of
-    the row's exact minimum, and within 2B once the roundings of |x|^2 and
-    of the addition are counted: the row's exact minimum lies in
-    [est - 2B, est + 2B]. The floor, the largest finite lower end over all
-    rows, is at most the largest exact minimum, and the row holding that
-    one has an upper end at or above it. So the rows whose upper end is not
-    below the floor include the farthest row, and the exact kernel on them
-    alone returns the same maximum. A screen that overflowed (an infinite or
-    NaN est, which large finite coordinates can give even where the exact
-    distance is finite) bounds nothing, so its row gets an infinite upper
-    end and stays.
-    """
-    n, d = points.shape
-    m = members.shape[0]
-    origin, screen_by, bound, base = _screen_frame(members)
-    by_member = screen_by.T
-    column = origin[:, None]
-    step = max(1, min(n, _BLOCK_ELEMS // (m + d)))
-    # points go in as columns, so the translation and |x|^2 run along rows
-    # of the block rather than along rows of d values
-    shifted = np.ones((d + 1, step))
-    screen = np.empty(m * step)
-    top = np.empty(n)
-    floor = -np.inf
-    for s in range(0, n, step):
-        b = min(step, n - s)
-        xo = np.subtract(points[s:s + b].T, column, out=shifted[:d, :b])
-        h = np.matmul(by_member, shifted[:, :b], out=screen[:m * b].reshape(m, b))
-        xx = np.einsum("ij,ij->j", xo, xo)
-        est = h.min(axis=0) + xx
-        slack = 2.0 * (bound * xx + base)
-        low = est - slack
-        floor = max(floor, float(np.max(low, where=np.isfinite(low), initial=-np.inf)))
-        top[s:s + b] = np.where(np.isfinite(est), est + slack, np.inf)
-    rows = np.flatnonzero(np.logical_not(top < floor))
-    return _nearest_sq(points[rows], members)[1].max()
-
-
 def _scratch_buffer(size: int) -> np.ndarray:
     """This thread's float64 scratch of at least size values, kept for later calls.
 
-    _screen_farther takes its block buffers from here. Allocated afresh in
+    _bracket_scan takes its block buffers from here. Allocated afresh in
     every call, they cost 300 to 700 page faults a sampling round at
     n = 10k, d = 8 with 532 members, a count that moved with the allocator's
     state and made the round's time swing from one process to the next. A
@@ -452,28 +402,24 @@ def _scratch_buffer(size: int) -> np.ndarray:
     return buf
 
 
-def _screen_farther(points: np.ndarray, members: np.ndarray, radius: float):
-    """(mask of the rows proved farther than radius, indices of the undecided).
+def _bracket_scan(points: np.ndarray, members: np.ndarray, first: int, below: float):
+    """(live, lower, upper): brackets on each row's squared nearest-member distance.
 
-    A row is far when sqrt(_nearest_sq(points, members)[1]) > radius. The
-    screen is _farthest_sq's member-major GEMM over chunks of members:
-    _FIRST_CHUNK members first, each next chunk twice the last (capped at
-    _BLOCK_ELEMS, so one row's screen fits a block buffer). By
-    _screen_frame's bound, a row's exact squared distance to a chunk's
-    nearest member lies within 2B of est, the chunk's screened minimum, so:
+    The screen is member-major, one row per member, so a row's screened
+    minimum est = min_j h_j + |x|^2 is an elementwise minimum. By
+    _screen_frame's bound est lies within B of the row's exact minimum, and
+    within 2B once the roundings of |x|^2 and of the addition are counted:
+    the exact minimum lies in [est - 2B, est + 2B], with 2B from _slack.
 
-    - est + 2B below radius^2 (less a relative 4 eps and tiny) puts a
-      member within radius: the row is covered and leaves the scan;
-    - est - 2B above radius^2 (plus the same margin) over all members makes
-      the row far.
-
-    The margins absorb the rounding of radius^2 and of the square root, so
-    both calls agree with the exact kernel. The rows left between them, and
-    those with an infinite _slack, are undecided. The answer does not
-    depend on the order members are visited in, so they go in a fixed
-    shuffled order: on rows sorted by coordinates, index order would put a
-    row's near members in the last chunks. Besides block buffers, the scan
-    keeps only per-row vectors.
+    Members go in a fixed shuffled order, in chunks of first members, each
+    next one twice the last and capped at _BLOCK_ELEMS. After every chunk
+    but the last, the rows whose upper end lies below below leave the scan.
+    A row's 2B depends on the row and the fixed origin alone, and rounding
+    is monotone, so running minima of est - 2B and est + 2B are exactly the
+    ends over the members visited. lower and upper hold them for every row
+    when live is None, else for the rows in live. Rows are sliced until one
+    leaves and gathered after; beyond the block buffers the scan keeps two
+    float64 values per row.
     """
     n, d = points.shape
     m = members.shape[0]
@@ -481,57 +427,100 @@ def _screen_farther(points: np.ndarray, members: np.ndarray, radius: float):
     origin, screen_by, bound, base = _screen_frame(members[visit])
     by_member = screen_by.T
     column = origin[:, None]
-    r2 = radius * radius
-    covered_below = r2 * (1.0 - 4.0 * _EPS) - _TINY
-    far_above = r2 * (1.0 + 4.0 * _EPS) + _TINY
-    live = np.arange(n)
-    # est - 2B of each live row over the members seen so far
-    lower = np.full(n, np.inf)
-    # block buffers, shared by every chunk: a first chunk of the full
-    # _FIRST_CHUNK members takes the most rows per block, a shorter last
-    # chunk no more
-    most = max(1, min(n, _BLOCK_ELEMS // max(min(_FIRST_CHUNK, m), d + 1)))
+    live = None
+    lower, upper = np.empty((2, n))
+    # the first chunk takes the most rows per block and a later one no more,
+    # so every chunk shares the block buffers
+    most = max(1, min(n, _BLOCK_ELEMS // max(min(first, m, _BLOCK_ELEMS), d + 1)))
     size = min(m * most, _BLOCK_ELEMS)
     work = _scratch_buffer(size + (2 * d + 1) * most)
     screen = work[:size]
+    # rows go in as columns, so the translation and |x|^2 run along rows of
+    # the block rather than along rows of d values
     shifted = work[size:size + (d + 1) * most].reshape(d + 1, most)
     shifted[d] = 1.0
     gathered = work[size + (d + 1) * most:size + (2 * d + 1) * most].reshape(most, d)
-    start, chunk = 0, _FIRST_CHUNK
-    while start < m and live.size:
-        chunk = min(chunk, _BLOCK_ELEMS)
-        by = by_member[start:start + chunk]
+    start, chunk = 0, first
+    while lower.size:
+        by = by_member[start:start + min(chunk, _BLOCK_ELEMS)]
         c = by.shape[0]
-        step = max(1, min(live.size, most, _BLOCK_ELEMS // max(c, d + 1)))
-        stay = np.empty(live.size, dtype=bool)
-        for s in range(0, live.size, step):
-            rows = live[s:s + step]
-            b = rows.size
-            x = np.take(points, rows, axis=0, out=gathered[:b], mode="clip")
+        step = max(1, min(lower.size, most, _BLOCK_ELEMS // max(c, d + 1)))
+        for s in range(0, lower.size, step):
+            b = min(step, lower.size - s)
+            if live is None:
+                x = points[s:s + b]
+            else:
+                x = np.take(points, live[s:s + b], axis=0, out=gathered[:b], mode="clip")
             xo = np.subtract(x.T, column, out=shifted[:d, :b])
             h = np.matmul(by, shifted[:, :b], out=screen[:c * b].reshape(c, b))
             xx = np.einsum("ij,ij->j", xo, xo)
-            est = h.min(axis=0) + xx
+            est = h.min(axis=0)
+            est += xx
             slack = _slack(xx, bound, base)
-            np.minimum(lower[s:s + b], est - slack, out=lower[s:s + b])
-            stay[s:s + b] = np.logical_not(est + slack < covered_below)
-        live, lower = live[stay], lower[stay]
+            if start:
+                np.minimum(lower[s:s + b], est - slack, out=lower[s:s + b])
+                np.minimum(upper[s:s + b], est + slack, out=upper[s:s + b])
+            else:
+                np.subtract(est, slack, out=lower[s:s + b])
+                np.add(est, slack, out=upper[s:s + b])
         start += c
         chunk *= 2
-    decided = np.isfinite(lower) & (lower > far_above)
-    far = np.zeros(n, dtype=bool)
+        if start >= m:
+            break
+        stay = np.logical_not(upper < below)
+        if not stay.all():
+            live = np.flatnonzero(stay) if live is None else live[stay]
+            lower, upper = lower[stay], upper[stay]
+    return live, lower, upper
+
+
+def _screen_farther(points: np.ndarray, members: np.ndarray, radius: float):
+    """(mask of the rows proved farther than radius, indices of the undecided).
+
+    A row is far when sqrt(_nearest_sq(points, members)[1]) > radius. The
+    screen is _bracket_scan from a first chunk of _FIRST_CHUNK members, so
+    a covered row costs one small chunk rather than all members:
+
+    - an upper end below radius^2 (less a relative 4 eps and tiny) puts a
+      member within radius: the row is covered and leaves the scan;
+    - a finite lower end above radius^2 (plus the same margin) over all
+      members makes the row far.
+
+    The margins absorb the rounding of radius^2 and of the square root, so
+    both calls agree with the exact kernel. The rows left between them, and
+    those with an infinite _slack, are undecided. The scan's shuffled
+    member order keeps a row's near members out of the last chunks when
+    rows are sorted by coordinates; the answer does not depend on it.
+    """
+    r2 = radius * radius
+    covered_below = r2 * (1.0 - 4.0 * _EPS) - _TINY
+    live, lower, upper = _bracket_scan(points, members, _FIRST_CHUNK, covered_below)
+    if live is None:
+        live = np.arange(points.shape[0])
+    decided = np.isfinite(lower) & (lower > r2 * (1.0 + 4.0 * _EPS) + _TINY)
+    far = np.zeros(points.shape[0], dtype=bool)
     far[live[decided]] = True
-    return far, live[~decided]
+    return far, live[np.logical_not(decided | (upper < covered_below))]
 
 
 def cost(dataset: Dataset, centers) -> float:
     """Max over all rows of the distance to the nearest center row.
 
     Exactly the square root of the largest squared distance _nearest_sq
-    gives, so a row that coincides with a center counts as 0.0. A screen
-    sends only the candidates for the farthest row to that kernel. The value
+    gives, so a row that coincides with a center counts as 0.0. The value
     depends only on the set of centers, so they are taken as index_subset
     gives them.
+
+    _bracket_scan brackets every row against all centers in one chunk. The
+    floor, the largest finite lower end, is at most the largest exact
+    minimum, and the row holding that one has an upper end at or above it
+    (an overflowed screen gives an infinite or NaN end). So the rows whose
+    upper end is not below the floor include the farthest row, and
+    _nearest_sq on them alone, usually a handful, gives the same maximum.
     """
     members = dataset.coords[index_subset(centers, dataset.n)]
-    return float(np.sqrt(_farthest_sq(dataset.coords, members)))
+    # no row leaves a scan whose threshold is -inf, so live is None
+    _, lower, upper = _bracket_scan(dataset.coords, members, members.shape[0], -np.inf)
+    floor = float(np.max(lower, where=np.isfinite(lower), initial=-np.inf))
+    rows = np.flatnonzero(np.logical_not(upper < floor))
+    return float(np.sqrt(_nearest_sq(dataset.coords[rows], members)[1].max()))

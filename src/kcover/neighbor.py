@@ -8,9 +8,10 @@ lowest row index.
 
 ``farther_than`` answers the covered test a sampling round needs, whether
 a row's nearest member is farther than a radius, with exactly the values
-``query_many`` gives. The screen ``core._screen_farther`` decides most
-rows and stops scanning a row at the first member chunk that covers it;
-the rows it leaves open go to ``query_many``.
+``query_many`` gives. The screen ``core._screen_farther`` runs the
+member-major bracket scan that ``cost`` also runs, from a small first
+chunk of members, so a row leaves the scan at the first chunk that covers
+it. The rows it leaves open go to ``query_many``.
 """
 
 from __future__ import annotations

@@ -23,9 +23,10 @@ from kcover.neighbor import ExactOracle
 
 from conftest import nearest_member_loop
 
-# a block cap of 64 values puts a few rows in each block, so n is rarely a
+# a block cap of 16 values splits the members (up to 60) into chunks, also
+# cost's; a cap of 64 puts a few rows in each block, so n is rarely a
 # multiple of the block; the default cap keeps these instances in one block
-BLOCK_CAPS = (64, core._BLOCK_ELEMS)
+BLOCK_CAPS = (16, 64, core._BLOCK_ELEMS)
 # a first chunk of one member gives these small instances many chunks
 FIRST_CHUNKS = (1, core._FIRST_CHUNK)
 
@@ -409,10 +410,10 @@ def test_farther_than_with_duplicate_members(cap):
 
 
 def test_screen_farther_ignores_what_its_scratch_held():
-    # the block buffers live in a per-thread scratch kept between calls; a
-    # call of the same shape takes no new one, stale values left in it
-    # (NaN here) change neither decided nor open rows, and another thread
-    # gets a scratch of its own
+    # the block buffers of the covered screen and of cost live in a
+    # per-thread scratch kept between calls; a call of the same shape takes
+    # no new one, stale values left in it (NaN here) change no result, and
+    # another thread gets a scratch of its own
     rng = np.random.default_rng(47)
     points = rng.normal(size=(2000, 5)) * 3.0
     members = points[rng.choice(2000, size=150, replace=False)]
@@ -421,19 +422,23 @@ def test_screen_farther_ignores_what_its_scratch_held():
     decided = np.ones(2000, dtype=bool)
     decided[open_rows] = False
     assert np.array_equal(far[decided], loop_farther(points, members, radius)[decided])
-    scratch = core._scratch.buf
-    scratch.fill(np.nan)
-    again = core._screen_farther(points, members, radius)
-    assert core._scratch.buf is scratch
-    assert np.array_equal(again[0], far) and np.array_equal(again[1], open_rows)
-    other = []
-    thread = threading.Thread(target=lambda: other.append(
-        (core._screen_farther(points, members, radius), core._scratch.buf)))
-    thread.start()
-    thread.join()
-    (far_there, open_there), scratch_there = other[0]
-    assert scratch_there is not scratch
-    assert np.array_equal(far_there, far) and np.array_equal(open_there, open_rows)
+    centers = rng.choice(2000, size=150, replace=False)
+    assert cost(Dataset(points), centers) == loop_cost(points, points[np.sort(centers)])
+    for call in (lambda: core._screen_farther(points, members, radius),
+                 lambda: (cost(Dataset(points), centers),)):
+        want = call()
+        scratch = core._scratch.buf
+        scratch.fill(np.nan)
+        again = call()
+        assert core._scratch.buf is scratch
+        assert all(np.array_equal(a, b) for a, b in zip(again, want))
+        other = []
+        thread = threading.Thread(target=lambda: other.append((call(), core._scratch.buf)))
+        thread.start()
+        thread.join()
+        there, scratch_there = other[0]
+        assert scratch_there is not scratch
+        assert all(np.array_equal(a, b) for a, b in zip(there, want))
 
 
 def test_farther_than_decides_most_rows_by_screen(monkeypatch):
