@@ -3,31 +3,28 @@
 Distances are computed on squared values internally; square roots are taken
 only at API boundaries, so exact zeros for coincident rows survive.
 
-Nearest-member queries of the exact oracle run through one blocked
-kernel, ``_nearest_sq``. It screens members with a GEMM,
-``|x|^2 - 2 x.c + |c|^2``, on points and members translated to the midpoint
-of the members' bounding box (``_screen_frame``, which also derives the
-rounding bound B = ``8 (d + 2) eps (|x|^2 + max |c|^2)``). Then it
-recomputes the squared distance from coordinate differences, as
-``sq_dists_to_point`` does, to the screened winner and to every other
-member whose screen lies within 2B of the row's minimum. So its values are
-exactly those of one ``sq_dists_to_point`` pass per member: coincident rows
-get exactly 0.0, and exact ties go to the lowest member index. Each block
-buffer holds at most ``_BLOCK_ELEMS`` float64 values (512 KiB), and a block
-at least one row. Members are collapsed to their first occurrences before
-the screen, so copies of one member never widen a row's re-check window.
+Both full-data passes, ``cost`` and a sampling round's covered test
+(``_screen_farther``), run one member-major GEMM screen, ``_bracket_scan``.
+It translates points and members to the midpoint of the members' bounding
+box (``_screen_frame``, which also derives the rounding bound B =
+``8 (d + 2) eps (|x|^2 + max |c|^2)``), screens ``|x|^2 - 2 x.c + |c|^2``
+one row per member, and brackets each row's exact minimum within 2B of an
+elementwise minimum, over member chunks of doubling size; a row leaves the
+scan once its upper end falls below the caller's threshold. The scan's
+block buffers are a per-thread scratch kept between calls
+(``_scratch_buffer``). It gives up on a row whose coordinates are large
+enough for the GEMM to overflow (``_slack``) and leaves it to exact values.
 
-``cost`` and a sampling round's covered test (``_screen_farther``) need
-less, and share one member-major scan, ``_bracket_scan``: the same GEMM,
-one row per member, brackets each row's exact minimum within 2B of an
-elementwise minimum, over member chunks of doubling size, and a row leaves
-the scan once its upper end falls below the caller's threshold. Only the
-rows the brackets leave open (for ``cost`` the candidates for the farthest
-row, for the covered test the rows near the radius) go to ``_nearest_sq``.
-The scan's block buffers are a per-thread scratch kept between calls
-(``_scratch_buffer``). Both screens give up on a row whose coordinates are
-large enough for the GEMM to overflow (``_slack``) and leave it to exact
-values.
+The rows the brackets leave open (for ``cost`` the candidates for the
+farthest row, for the covered test the rows near the radius) go to the
+exact pass, ``_nearest_sq``: every (row, member) pair from coordinate
+differences, as ``sq_dists_to_point`` computes them, O(n m d) with no BLAS
+screen. Its values are exactly those of one ``sq_dists_to_point`` pass per
+member, so coincident rows get exactly 0.0 and exact ties go to the lowest
+member index. Each block holds at most ``_BLOCK_ELEMS`` float64 differences
+(512 KiB), and at least one pair. On the benchmark's instances every call
+gets 0 or 1 row: ``cost`` sends 1 row against 20, 32 or 316 centers, and a
+sampling round sends 0 rows against about 540 members.
 
 Exact row dedup, of grid cells and of coordinates alike, is one routine,
 ``first_occurrences``, built on sorting rather than ``np.unique``: one
@@ -50,7 +47,7 @@ MAX_SEED = 2**64
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
 _MAX = np.finfo(np.float64).max
-# cap on the float64 values in one block buffer of the nearest-member kernel
+# cap on the float64 values in one block buffer of _bracket_scan and _nearest_sq
 _BLOCK_ELEMS = 1 << 16
 # members in the first chunk of _screen_farther's scan; each next chunk doubles
 _FIRST_CHUNK = 32
@@ -276,20 +273,17 @@ def first_occurrences(rows, budget=None):
     return first.shape[0], first
 
 
-def _exact_sq(points: np.ndarray, members: np.ndarray, rows, cols) -> np.ndarray:
-    """|points[rows] - members[cols]|^2 pairwise, summed as sq_dists_to_point sums."""
-    out = np.empty(rows.size)
-    step = max(1, _BLOCK_ELEMS // points.shape[1])
-    for t in range(0, rows.size, step):
-        diff = points[rows[t:t + step]] - members[cols[t:t + step]]
-        out[t:t + step] = np.einsum("ij,ij->i", diff, diff)
-    return out
+def _exact_sq(points: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """(n, m) |points[i] - members[j]|^2, summed as sq_dists_to_point sums."""
+    d = points.shape[1]
+    diff = (points[:, None, :] - members).reshape(-1, d)
+    return np.einsum("ij,ij->i", diff, diff).reshape(points.shape[0], -1)
 
 
 def _screen_frame(members: np.ndarray):
     """(origin, screen_by, bound, base) of the GEMM screen over the members.
 
-    Every screen translates points and members to the midpoint o of the
+    The screen translates points and members to the midpoint o of the
     members' bounding box, so x and c below are x - o and c - o. screen_by
     is the (d + 1) x m matrix [-2 c^T; |c|^2]: a point row [x, 1] times it
     gives h_j = -2 x.c_j + |c_j|^2, which differs from the exact value e_j
@@ -327,64 +321,47 @@ def _slack(xx: np.ndarray, bound: float, base: float) -> np.ndarray:
     exact squared distance overflows, and _screen_frame's bound holds for
     every member. Beyond it a single product can overflow to -inf even at a
     member that coincides with the row, so the row's screen bounds nothing.
+    A NaN slack counts as overflowed too; the mask is built only when the
+    largest slack (NaN if any is) is not below the limit.
     """
     slack = 2.0 * (bound * xx + base)
-    slack[np.logical_not(slack < 0.5 * bound * _MAX)] = np.inf
+    limit = 0.5 * bound * _MAX
+    if not slack.max() < limit:
+        slack[np.logical_not(slack < limit)] = np.inf
     return slack
 
 
 def _nearest_sq(points: np.ndarray, members: np.ndarray):
     """(position of the nearest member, its squared distance) for every row.
 
-    The distances equal the minimum over members of sq_dists_to_point
-    exactly; among members at exactly equal distance the lowest position
-    wins. A later copy of a member never wins, so the screen runs on the
-    first occurrence of each distinct member alone.
-
-    Each block's screen is row-major, one row per point. By _screen_frame's
-    bound, a member whose screen exceeds the row's minimum by more than 2B
-    is strictly farther than the screened winner. Rows with another member
-    inside that window are re-checked on exact values over the members
-    inside it; a row whose screen may have overflowed (_slack is inf) keeps
-    every member inside.
+    The exact pass: _exact_sq on every (row, member) pair, in blocks of at
+    most _BLOCK_ELEMS coordinate differences, over member chunks in index
+    order. A row's running minimum changes only on a strictly smaller value,
+    so the distances equal the minimum over members of sq_dists_to_point
+    exactly, and among members at exactly equal distance the lowest position
+    wins. It costs O(n m d) with no GEMM screen: its callers send it only
+    the rows that _bracket_scan leaves open.
     """
     n, d = points.shape
-    if n == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    keep = first_occurrences(members)[1]
-    members = members[keep]
     m = members.shape[0]
     best = np.empty(n)
     arg = np.empty(n, dtype=np.int64)
-    origin, screen_by, bound, base = _screen_frame(members)
-    step = max(1, min(n, _BLOCK_ELEMS // (m + d)))
-    shifted = np.ones((step, d + 1))
-    screen = np.empty((step, m))
+    chunk = max(1, min(m, _BLOCK_ELEMS // d))
+    step = max(1, min(n, _BLOCK_ELEMS // (chunk * d)))
     for s in range(0, n, step):
         x = points[s:s + step]
-        b = x.shape[0]
-        xo = np.subtract(x, origin, out=shifted[:b, :d])
-        h = np.matmul(shifted[:b], screen_by, out=screen[:b])
-        r = np.arange(b)
-        pos = h.argmin(axis=1)
-        low = h[r, pos]
-        thr = low + _slack(np.einsum("ij,ij->i", xo, xo), bound, base)
-        h[r, pos] = np.inf
-        amb = np.flatnonzero(np.logical_not(h[r, h.argmin(axis=1)] > thr))
-        diff = x - members[pos]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        if amb.size:
-            h[r, pos] = low
-            rows, cols = np.nonzero(np.logical_not(h[amb] > thr[amb, None]))
-            exact = _exact_sq(x, members, amb[rows], cols)
-            # pairs ascend by (row, member); every ambiguous row has one
-            near = np.minimum.reduceat(exact, np.flatnonzero(np.diff(rows, prepend=-1)))
-            hit = np.flatnonzero(exact == near[rows])
-            d2[amb] = near
-            pos[amb] = cols[hit[np.diff(rows[hit], prepend=-1) != 0]]
-        best[s:s + b] = d2
-        arg[s:s + b] = pos
-    return keep[arg], best
+        for start in range(0, m, chunk):
+            exact = _exact_sq(x, members[start:start + chunk])
+            pos = exact.argmin(axis=1)
+            near = exact[np.arange(x.shape[0]), pos]
+            if start:
+                better = near < best[s:s + step]
+                best[s:s + step][better] = near[better]
+                arg[s:s + step][better] = pos[better] + start
+            else:
+                best[s:s + step] = near
+                arg[s:s + step] = pos
+    return arg, best
 
 
 def _scratch_buffer(size: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from kcover import core
 from kcover.core import Dataset, cost
+from kcover.datasets import SyntheticSpec, generate_synthetic
 from kcover.neighbor import ExactOracle
 
 from conftest import nearest_member_loop
@@ -154,8 +155,8 @@ def test_cost_where_the_screen_overflows(cap):
 
 @pytest.mark.parametrize("cap", BLOCK_CAPS)
 def test_cost_of_rows_near_1e154(cap):
-    # the candidate rows go through the exact kernel, whose blocked screen
-    # overflows to -inf at members that coincide with a row
+    # near 1e154 the screen can overflow to -inf at a member that coincides
+    # with a row; a row whose bracket bounds nothing goes to the exact pass
     for seed in range(12):
         rng = np.random.default_rng(seed)
         points = rng.uniform(-1.3e154, 1.3e154, size=(200, 1 + seed % 3))
@@ -182,10 +183,19 @@ def test_cost_rows_on_a_sphere(cap):
     assert got == loop_cost(points, members)
 
 
-def test_cost_sends_few_rows_to_the_exact_kernel(monkeypatch):
+def few_rows_instance(name):
+    """(data, centers): 2-D uniform rows against 32 random centers, or a
+    20-D mixture against as many random centers as it has clusters."""
     rng = np.random.default_rng(19)
-    data = Dataset(rng.uniform(size=(20_000, 2)))
-    centers = rng.choice(20_000, size=32, replace=False)
+    if name == "box-d2":
+        return Dataset(rng.uniform(size=(20_000, 2))), rng.choice(20_000, size=32, replace=False)
+    spec = SyntheticSpec("gaussian_mixture", n=20_000, d=20, k_planted=316, seed=19)
+    return generate_synthetic(spec)[0], rng.choice(20_000, size=316, replace=False)
+
+
+@pytest.mark.parametrize("name", ["box-d2", "mixture-d20"])
+def test_cost_sends_few_rows_to_the_exact_kernel(monkeypatch, name):
+    data, centers = few_rows_instance(name)
     sizes = count_exact_rows(monkeypatch)
     got = cost(data, centers)
     assert got == loop_cost(data.coords, data.coords[centers])
@@ -207,9 +217,9 @@ def test_query_many_equals_per_member_loop(inst, cap):
 
 @pytest.mark.parametrize("cap", BLOCK_CAPS)
 def test_query_many_where_the_screen_overflows(cap):
-    # rows near 1e154 on a line: in a block GEMM, -2 x.c overflows to -inf
-    # even at a member that coincides with the row, so the screen's minimum
-    # names no member and every member is re-checked on exact values
+    # rows near 1e154 on a line: in a GEMM, -2 x.c overflows to -inf even
+    # at a member that coincides with the row; the exact pass takes
+    # coordinate differences, so that member is at exactly 0
     rng = np.random.default_rng(31)
     points = rng.uniform(-1.2e154, 1.2e154, size=(300, 1))
     members = rng.choice(300, size=25, replace=False)
@@ -265,60 +275,38 @@ def test_zero_query_rows():
     assert idx.dtype == np.int64 and dists.dtype == np.float64
 
 
-def test_rows_across_many_blocks():
+def test_rows_across_many_blocks(monkeypatch):
     rng = np.random.default_rng(8)
     points = rng.normal(size=(5003, 7))
-    data = Dataset(points)
-    members = rng.choice(5003, size=300, replace=False)
-    want_pos, want_d2 = nearest_member_loop(points, points[members])
-    got_pos, got_d2 = core._nearest_sq(points, points[members])
-    assert np.array_equal(got_pos, want_pos) and np.array_equal(got_d2, want_d2)
-    with mock.patch.object(core, "_BLOCK_ELEMS", 3000):
-        got_pos, got_d2 = core._nearest_sq(points, points[members])
-    assert np.array_equal(got_pos, want_pos) and np.array_equal(got_d2, want_d2)
-
-
-def test_large_offset_rechecks_few_members(monkeypatch):
-    # unit spread 1e8 from the origin: without translating to the members
-    # the rounding window would hold every member of every row
-    rng = np.random.default_rng(12)
-    points = rng.normal(size=(4000, 8)) + 1e8
-    members = points[rng.choice(4000, size=200, replace=False)]
-    pairs = []
+    # unit spread 1e8 from the origin, 50 coincident members, and members
+    # whose coordinates alone (4000 x 20) fill more than one block
+    offset = rng.normal(size=(4000, 8)) + 1e8
+    cases = [(points, points[rng.choice(5003, size=300, replace=False)]),
+             (offset, offset[rng.choice(4000, size=200, replace=False)]),
+             (np.zeros((5000, 8)), np.zeros((50, 8))),
+             (rng.normal(size=(64, 20)), rng.normal(size=(4000, 20)))]
+    blocks = []
     exact_sq = core._exact_sq
 
-    def counting(pts, mem, rows, cols):
-        pairs.append(rows.size)
-        return exact_sq(pts, mem, rows, cols)
+    def counting(pts, mem):
+        blocks.append(pts.size * mem.shape[0])
+        return exact_sq(pts, mem)
 
     monkeypatch.setattr(core, "_exact_sq", counting)
-    pos, d2 = core._nearest_sq(points, members)
-    want_pos, want_d2 = nearest_member_loop(points, members)
-    assert np.array_equal(pos, want_pos) and np.array_equal(d2, want_d2)
-    assert sum(pairs) <= 0.1 * points.shape[0]
-
-
-def test_coincident_members_recheck_once(monkeypatch):
-    # 50 copies of one member: each row has one member to re-check, not 50
-    points = np.zeros((5000, 8))
-    members = np.zeros((50, 8))
-    pairs = []
-    exact_sq = core._exact_sq
-
-    def counting(pts, mem, rows, cols):
-        pairs.append(rows.size)
-        return exact_sq(pts, mem, rows, cols)
-
-    monkeypatch.setattr(core, "_exact_sq", counting)
-    pos, d2 = core._nearest_sq(points, members)
-    want_pos, want_d2 = nearest_member_loop(points, members)
-    assert np.array_equal(pos, want_pos) and np.array_equal(d2, want_d2)
-    assert sum(pairs) <= points.shape[0]
+    for points, members in cases:
+        want_pos, want_d2 = nearest_member_loop(points, members)
+        for cap in (3000, core._BLOCK_ELEMS):
+            blocks.clear()
+            with mock.patch.object(core, "_BLOCK_ELEMS", cap):
+                got_pos, got_d2 = core._nearest_sq(points, members)
+            assert np.array_equal(got_pos, want_pos) and np.array_equal(got_d2, want_d2)
+            # every block holds at most cap coordinate differences
+            assert max(blocks) <= cap and sum(blocks) == points.size * members.shape[0]
 
 
 def test_near_ties_resolved_on_exact_values():
     # each row sits midway between its own two members, so their exact
-    # distances differ by rounding alone, far below the GEMM screen's error
+    # distances differ by rounding alone, far below a GEMM screen's error
     rng = np.random.default_rng(21)
     points = rng.normal(size=(300, 5)) * 100.0
     step = rng.normal(size=(300, 5)) * 1e-3

@@ -246,6 +246,18 @@ def test_edge_case_coverings_sound(instance, method, seed):
         assert result.radius_bound < 1.0
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("method", sorted(EDGE_BUILDS))
+def test_mix10k_coverings_are_nontrivial(method, seed):
+    # the sample-exact benchmark shape: a coreset of all n rows is sound but
+    # saves nothing, so each covering seed must keep fewer
+    spec = SyntheticSpec("gaussian_mixture", n=10_000, d=8, k_planted=20, seed=3)
+    data = generate_synthetic(spec)[0]
+    result = EDGE_BUILDS[method](data, 20, seed)
+    assert covering_ok(data.coords, result.subset, result.radius_bound)
+    assert result.size < data.n
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e8])
 def test_budget_that_every_scale_fits_stops_halving(offset):
     # 150 distinct rows, each written twice, fit a budget of 200 at every
