@@ -275,16 +275,10 @@ def test_zero_query_rows():
     assert idx.dtype == np.int64 and dists.dtype == np.float64
 
 
-def test_rows_across_many_blocks(monkeypatch):
-    rng = np.random.default_rng(8)
-    points = rng.normal(size=(5003, 7))
-    # unit spread 1e8 from the origin, 50 coincident members, and members
-    # whose coordinates alone (4000 x 20) fill more than one block
-    offset = rng.normal(size=(4000, 8)) + 1e8
-    cases = [(points, points[rng.choice(5003, size=300, replace=False)]),
-             (offset, offset[rng.choice(4000, size=200, replace=False)]),
-             (np.zeros((5000, 8)), np.zeros((50, 8))),
-             (rng.normal(size=(64, 20)), rng.normal(size=(4000, 20)))]
+def check_exact_pass(monkeypatch, points, members):
+    """_nearest_sq equals the per-member loop at a small and the default
+    block cap, with every block at most the cap and every (row, member)
+    pair sent to _exact_sq exactly once."""
     blocks = []
     exact_sq = core._exact_sq
 
@@ -293,15 +287,35 @@ def test_rows_across_many_blocks(monkeypatch):
         return exact_sq(pts, mem)
 
     monkeypatch.setattr(core, "_exact_sq", counting)
-    for points, members in cases:
-        want_pos, want_d2 = nearest_member_loop(points, members)
-        for cap in (3000, core._BLOCK_ELEMS):
-            blocks.clear()
-            with mock.patch.object(core, "_BLOCK_ELEMS", cap):
-                got_pos, got_d2 = core._nearest_sq(points, members)
-            assert np.array_equal(got_pos, want_pos) and np.array_equal(got_d2, want_d2)
-            # every block holds at most cap coordinate differences
-            assert max(blocks) <= cap and sum(blocks) == points.size * members.shape[0]
+    want_pos, want_d2 = nearest_member_loop(points, members)
+    for cap in (3000, core._BLOCK_ELEMS):
+        blocks.clear()
+        with mock.patch.object(core, "_BLOCK_ELEMS", cap):
+            got_pos, got_d2 = core._nearest_sq(points, members)
+        assert np.array_equal(got_pos, want_pos) and np.array_equal(got_d2, want_d2)
+        assert max(blocks) <= cap and sum(blocks) == points.size * members.shape[0]
+
+
+def test_rows_across_many_blocks(monkeypatch):
+    rng = np.random.default_rng(8)
+    points = rng.normal(size=(5003, 7))
+    check_exact_pass(monkeypatch, points, points[rng.choice(5003, size=300, replace=False)])
+    # members whose coordinates alone (4000 x 20) fill more than one block
+    check_exact_pass(monkeypatch, rng.normal(size=(64, 20)), rng.normal(size=(4000, 20)))
+
+
+def test_large_offset_rechecks_few_members(monkeypatch):
+    # unit spread 1e8 from the origin: the exact pass takes coordinate
+    # differences, so it checks each member once per row, with no re-check
+    rng = np.random.default_rng(12)
+    points = rng.normal(size=(4000, 8)) + 1e8
+    check_exact_pass(monkeypatch, points, points[rng.choice(4000, size=200, replace=False)])
+
+
+def test_coincident_members_recheck_once(monkeypatch):
+    # 50 copies of one member: each is checked once per row, and the
+    # lowest position wins the exact tie
+    check_exact_pass(monkeypatch, np.zeros((5000, 8)), np.zeros((50, 8)))
 
 
 def test_near_ties_resolved_on_exact_values():
