@@ -142,7 +142,7 @@ def _cmd_sweep(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     reports = run_sweep(data, k=k, methods=methods, budgets=budgets,
                         trials=args.trials, seed=args.seed,
-                        dataset_name=args.name, jl_dim=args.jl_dim)
+                        dataset_name=args.name)
     text = emit_report(reports, fmt=args.format, path=args.output)
     if args.output is None:
         sys.stdout.write(text)
@@ -207,9 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budgets", default=None,
                    help="comma list; plain sizes or multiples like 8k (default 1k..30k)")
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--jl-dim", type=int, default=None,
-                   help="projection dimension (default: jl_target_dim at eps 0.5; "
-                        "at most d)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="default: print to stdout")

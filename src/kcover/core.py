@@ -62,7 +62,7 @@ _scratch = threading.local()
 # (master seed, tag, ...indices), so one seed reproduces the whole run
 # and no two operations share a stream.
 STREAM_GRID_SHIFT = 1
-STREAM_JL = 2
+# tag 2 (a deleted random projection's) is retired and never reused
 STREAM_UNIFORM_SAMPLE = 4
 STREAM_ROUND_SAMPLE = 5
 STREAM_SYNTH = 7

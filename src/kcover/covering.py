@@ -47,19 +47,19 @@ from .core import (
 from .gridhash import eval_hash_batch, sample_hash
 from .solver import gonzalez
 
-# extra doublings granted in budget mode past the scale at which one cell
+# extra doublings a budgeted search grants past the scale at which one cell
 # can hold the whole spread; termination there only needs one shift that
 # puts the whole spread inside a single cell
 _BUDGET_EXTRA_DOUBLINGS = 64
-# bisection steps after the budget-mode search brackets the fitting scale,
+# bisection steps after a budgeted search brackets the fitting scale,
 # which leaves tau within 2**(1/4) of the smallest fitting one. With one step
 # (within sqrt(2)), 3 of 48 covering seeds at desk scale, budget 8k, cost
 # about 6x the full greedy; with two, none did.
 _BISECTIONS = 2
 # the anchor's greedy runs on a sample of at least this many rows (and 4k)
 _ANCHOR_ROWS = 1000
-# budget-mode halving stops once the scale is this fraction of the largest
-# coordinate magnitude (times sqrt(d)), so cell indices stay below 2**40
+# a budgeted search stops halving once the scale is this fraction of the
+# largest coordinate magnitude (times sqrt(d)), so cell indices stay below 2**40
 _MIN_RELATIVE_SCALE = 2.0**-40
 
 
@@ -130,7 +130,9 @@ def reduce_covering(dataset: Dataset, outer: CoveringResult, inner_builder) -> C
 @dataclass(frozen=True)
 class HashCoveringConfig:
     k: int
-    mode: str = "budget"  # the only value accepted; kept for callers that pass it
+    # "budget" is the only value accepted. perfbench/workloads.py is the last
+    # caller that passes it; the field goes once the benchmark drops it.
+    mode: str = "budget"
     budget: int | None = None
     seed: int = 0
 
@@ -252,7 +254,7 @@ def build_covering_hash(dataset: Dataset, cfg: HashCoveringConfig) -> CoveringRe
     if cfg.mode != "budget":
         raise ValueError("mode must be 'budget'")
     if cfg.budget is None or cfg.budget < 1:
-        raise ValueError("budget mode requires a positive budget")
+        raise ValueError("the hash covering requires a positive budget")
     budget = cfg.budget
 
     # fixed row subsample lets hopeless scales be rejected cheaply: its

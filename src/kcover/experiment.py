@@ -20,12 +20,10 @@ from pathlib import Path
 
 from .core import STREAM_SWEEP, ConstructionFailedError, Dataset, rng_stream
 from .covering import HashCoveringConfig, build_covering_hash, uniform_baseline
-from .dimred import jl_project, jl_target_dim
 from .sampling import SampleCoveringConfig, build_covering_sample
 from .solver import evaluate_on_full, gonzalez
 
 DEFAULT_BUDGET_MULTIPLIERS = (1, 2, 4, 8, 16, 30)
-DEFAULT_JL_EPS = 0.5
 
 # _cell_seed seeds each sweep cell from the method's id here; an id is never
 # reused, so a deleted method leaves every other method's output as it was
@@ -39,7 +37,6 @@ class ExperimentReport:
     dataset_name: str
     n: int
     d: int
-    d_prime: int
     k: int
     method: str
     budget_requested: int
@@ -102,14 +99,11 @@ def _ratio(value: float, benchmark: float) -> float:
 
 def run_sweep(dataset: Dataset, k: int | None = None, methods=("hash", "uniform"),
               budgets=None, trials: int = 3, seed: int = 0,
-              dataset_name: str = "dataset",
-              jl_dim: int | None = None) -> list[ExperimentReport]:
+              dataset_name: str = "dataset") -> list[ExperimentReport]:
     """Run the grid and return reports sorted by (method, budget, trial).
 
-    The working dimension is jl_dim, or jl_target_dim(d, n, DEFAULT_JL_EPS)
-    when it is None, and at most d. The projection to it happens once,
-    before any timer starts; the full-data benchmark solves the projected
-    data too, so build and solve timings compare like for like.
+    Every cell builds, solves and evaluates on the dataset's own rows, so
+    each row's cost_on_full is the k-center cost of its centers on the input.
     """
     methods = tuple(dict.fromkeys(methods))
     if not methods:
@@ -131,18 +125,14 @@ def run_sweep(dataset: Dataset, k: int | None = None, methods=("hash", "uniform"
         raise ValueError("budgets must be positive")
     budgets = tuple(sorted({min(b, n) for b in budgets}))
 
-    d_prime = jl_dim if jl_dim is not None else jl_target_dim(dataset.d, n, DEFAULT_JL_EPS)
-    d_prime = min(d_prime, dataset.d)
-    work = jl_project(dataset, d_prime, seed) if d_prime < dataset.d else dataset
-
     # a failed cell's row, apart from its method, budget, trial and times
     base = ExperimentReport(
-        dataset_name=dataset_name, n=n, d=dataset.d, d_prime=d_prime, k=k,
+        dataset_name=dataset_name, n=n, d=dataset.d, k=k,
         method="benchmark", budget_requested=n, coreset_size_actual=0,
         build_seconds=0.0, solve_seconds=0.0, total_seconds=0.0,
         cost_on_full=math.nan, cost_ratio_vs_benchmark=math.nan, seed=seed, trial=0)
     rows: list[ExperimentReport] = []
-    bench = gonzalez(work, k, start_index=0)
+    bench = gonzalez(dataset, k, start_index=0)
     if "benchmark" in methods:
         rows += [replace(base, coreset_size_actual=n, solve_seconds=bench.solve_seconds,
                          total_seconds=bench.solve_seconds,
@@ -155,25 +145,25 @@ def run_sweep(dataset: Dataset, k: int | None = None, methods=("hash", "uniform"
         for budget in budgets:
             for trial in range(trials):
                 cell = replace(base, method=method, budget_requested=budget, trial=trial)
-                rows.append(_run_cell(work, cell, bench.cost_on_solve_set))
+                rows.append(_run_cell(dataset, cell, bench.cost_on_solve_set))
 
     rows.sort(key=lambda r: (r.method, r.budget_requested, r.trial))
     return rows
 
 
-def _run_cell(work: Dataset, cell: ExperimentReport, benchmark_cost: float) -> ExperimentReport:
-    """Fill in one cell's row: build, solve on the coreset, evaluate on work."""
+def _run_cell(dataset: Dataset, cell: ExperimentReport, benchmark_cost: float) -> ExperimentReport:
+    """Fill in one cell's row: build, solve on the coreset, evaluate on dataset."""
     cell_seed = _cell_seed(cell.seed, cell.method, cell.budget_requested, cell.trial)
     t0 = time.perf_counter()
     try:
-        subset, _ = build_coreset(cell.method, work, cell.k, cell.budget_requested, cell_seed)
+        subset, _ = build_coreset(cell.method, dataset, cell.k, cell.budget_requested, cell_seed)
     except ConstructionFailedError:
         build_seconds = time.perf_counter() - t0
         return replace(cell, build_seconds=build_seconds, total_seconds=build_seconds)
     build_seconds = time.perf_counter() - t0
 
-    sol = gonzalez(work.take(subset), cell.k, start_index=0)
-    value = evaluate_on_full(work, subset, sol)
+    sol = gonzalez(dataset.take(subset), cell.k, start_index=0)
+    value = evaluate_on_full(dataset, subset, sol)
     total_seconds = time.perf_counter() - t0
     return replace(cell, coreset_size_actual=int(subset.shape[0]),
                    build_seconds=build_seconds, solve_seconds=sol.solve_seconds,

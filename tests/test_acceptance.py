@@ -96,8 +96,7 @@ def test_c03_covering_soundness_both_constructions():
         else:
             data = mixture(n, d, max(1, k // 2 + 1), seed=i)
         if i % 2 == 0:
-            cfg = HashCoveringConfig(k=k, mode="budget",
-                                     budget=int(rng.integers(k, 4 * k + 1)), seed=i)
+            cfg = HashCoveringConfig(k=k, budget=int(rng.integers(k, 4 * k + 1)), seed=i)
             cov = build_covering_hash(data, cfg)
         else:
             cov = build_covering_sample(
@@ -189,8 +188,7 @@ def test_c07_end_to_end_bound():
             rng.normal(scale=2.0, size=(n, d)))
         opt_ref = gonzalez(data, k).cost_on_solve_set
         if t < 20:
-            cfg = HashCoveringConfig(k=k, mode="budget",
-                                     budget=int(rng.integers(2 * k, 5 * k + 1)),
+            cfg = HashCoveringConfig(k=k, budget=int(rng.integers(2 * k, 5 * k + 1)),
                                      seed=t)
             cov = build_covering_hash(data, cfg)
         else:
@@ -253,9 +251,9 @@ def test_c10_merge_and_reduce():
         a = mixture(int(rng.integers(100, 601)), 3, ka, seed=2 * t)
         b = mixture(int(rng.integers(100, 601)), 3, kb, seed=2 * t + 1)
         cov_a = build_covering_hash(a, HashCoveringConfig(
-            k=ka, mode="budget", budget=int(rng.integers(ka, 3 * ka + 1)), seed=t))
+            k=ka, budget=int(rng.integers(ka, 3 * ka + 1)), seed=t))
         cov_b = build_covering_hash(b, HashCoveringConfig(
-            k=kb, mode="budget", budget=int(rng.integers(kb, 3 * kb + 1)), seed=t + 7))
+            k=kb, budget=int(rng.integers(kb, 3 * kb + 1)), seed=t + 7))
         merged, cov = merge_coverings(a, cov_a, b, cov_b)
         if cov.radius_bound != max(cov_a.radius_bound, cov_b.radius_bound):
             violations += 1
@@ -265,12 +263,12 @@ def test_c10_merge_and_reduce():
         k = int(rng.integers(2, 6))
         data = mixture(int(rng.integers(200, 801)), 3, k, seed=1000 + t)
         outer = build_covering_hash(data, HashCoveringConfig(
-            k=k, mode="budget", budget=int(rng.integers(3 * k, 6 * k + 1)), seed=t))
+            k=k, budget=int(rng.integers(3 * k, 6 * k + 1)), seed=t))
 
         # the builder's budget is drawn once so the check can rebuild identically
         budget = int(rng.integers(k, 2 * k + 1))
         builder = lambda sub: build_covering_hash(sub, HashCoveringConfig(
-            k=k, mode="budget", budget=budget, seed=t + 13))
+            k=k, budget=budget, seed=t + 13))
         reduced = reduce_covering(data, outer, builder)
         inner_direct = builder(data.take(outer.subset))
         want = outer.radius_bound + inner_direct.radius_bound

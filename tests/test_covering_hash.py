@@ -56,18 +56,18 @@ def test_representatives_first_occurrence(monkeypatch):
 
 def test_identical_rows_collapse_to_one():
     data = Dataset(np.tile([3.0, -2.0], (25, 1)))
-    result = build_covering_hash(data, HashCoveringConfig(k=2, mode="budget", budget=5))
+    result = build_covering_hash(data, HashCoveringConfig(k=2, budget=5))
     assert result.size == 1
     assert result.radius_bound == 0.0
 
 
-def test_budget_mode_on_planted_clusters():
+def test_planted_clusters_fit_the_budget_within_additive_slack():
     data = four_cluster_instance()
-    cfg = HashCoveringConfig(k=4, mode="budget", budget=8, seed=3)
+    cfg = HashCoveringConfig(k=4, budget=8, seed=3)
     result = build_covering_hash(data, cfg)
     assert result.size <= 8
     assert covering_ok(data.coords, result.subset, result.radius_bound)
-    # budget mode hashes at scale tau, so the bound is the cell diameter
+    # the grid hashes at scale tau, so the bound is the cell diameter
     assert result.radius_bound == result.tau_used
     # solving on the subset stays within the additive-slack bound
     opt_ref = gonzalez(data, 4).cost_on_solve_set
@@ -76,7 +76,7 @@ def test_budget_mode_on_planted_clusters():
     assert full <= 2.0 * opt_ref + 2.0 * result.radius_bound + 1e-9
 
 
-def test_theory_mode_size_bound_at_good_radius():
+def test_occupied_cells_within_t_beta_bound_at_greedy_scale():
     # hash a planted instance at the scale the theory prescribes and compare
     # the occupied-cell count with the reference bound; d=1 keeps the
     # bound below n so the check has teeth
@@ -103,7 +103,7 @@ def test_budget_respected_on_random_instances():
         d = int(rng.integers(1, 5))
         data = Dataset(rng.normal(scale=10.0, size=(n, d)))
         budget = int(rng.integers(1, 40))
-        cfg = HashCoveringConfig(k=min(5, budget), mode="budget", budget=budget,
+        cfg = HashCoveringConfig(k=min(5, budget), budget=budget,
                                  seed=trial)
         result = build_covering_hash(data, cfg)
         assert result.size <= budget
@@ -115,7 +115,7 @@ def test_sweep_bookkeeping_without_filter():
     # the search brackets the fitting scale, and its last step, the
     # bisection, is kept exactly when it fits the budget
     data = four_cluster_instance(n=120, seed=9)
-    cfg = HashCoveringConfig(k=4, mode="budget", budget=10, seed=11)
+    cfg = HashCoveringConfig(k=4, budget=10, seed=11)
     result = build_covering_hash(data, cfg)
     assert len(result.sizes) == result.iterations
     assert result.size <= 10 and result.size in result.sizes
@@ -128,7 +128,7 @@ def test_scale_filter_path_is_consistent():
     # the returned subset is still exact and within budget
     rng = np.random.default_rng(21)
     data = Dataset(rng.normal(scale=50.0, size=(5000, 3)))
-    cfg = HashCoveringConfig(k=8, mode="budget", budget=64, seed=2)
+    cfg = HashCoveringConfig(k=8, budget=64, seed=2)
     result = build_covering_hash(data, cfg)
     assert result.size <= 64
     assert covering_ok(data.coords, result.subset, result.radius_bound)
@@ -141,14 +141,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         build_covering_hash(data, HashCoveringConfig(k=0))
     with pytest.raises(ValueError):
-        build_covering_hash(data, HashCoveringConfig(k=1, mode="budget"))
+        build_covering_hash(data, HashCoveringConfig(k=1))
+    # "budget", the field's default, is still accepted when passed; any
+    # other mode raises
+    accepted = build_covering_hash(data, HashCoveringConfig(k=1, mode="budget", budget=2))
+    assert accepted.size == 1
     with pytest.raises(ValueError):
         build_covering_hash(data, HashCoveringConfig(k=1, mode="theory", budget=2))
 
 
 def test_build_deterministic_per_seed():
     data = four_cluster_instance(seed=13)
-    cfg = HashCoveringConfig(k=4, mode="budget", budget=12, seed=99)
+    cfg = HashCoveringConfig(k=4, budget=12, seed=99)
     a = build_covering_hash(data, cfg)
     b = build_covering_hash(data, cfg)
     assert a.subset.tolist() == b.subset.tolist()
@@ -172,7 +176,7 @@ def test_uniform_baseline_contract():
 
 def test_subset_rows_are_dataset_rows():
     data = four_cluster_instance(n=80, seed=23)
-    cfg = HashCoveringConfig(k=4, mode="budget", budget=16, seed=4)
+    cfg = HashCoveringConfig(k=4, budget=16, seed=4)
     result = build_covering_hash(data, cfg)
     assert result.subset.min() >= 0 and result.subset.max() < data.n
     assert np.all(np.diff(result.subset) > 0)  # sorted, distinct

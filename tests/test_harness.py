@@ -14,16 +14,17 @@ import kcover.sampling
 from kcover.cli import EXIT_CONSTRUCTION, EXIT_IO, EXIT_USAGE, main
 from kcover.core import ConstructionFailedError, Dataset
 from kcover.datasets import SyntheticSpec, generate_synthetic
-from kcover.dimred import jl_target_dim
 from kcover.experiment import (
     REPORT_COLUMNS,
     TIMING_COLUMNS,
     ExperimentReport,
+    _cell_seed,
+    build_coreset,
     default_budgets,
     emit_report,
     run_sweep,
 )
-from kcover.solver import gonzalez
+from kcover.solver import evaluate_on_full, gonzalez
 
 
 def planted(n=400, d=3, k=4, seed=0):
@@ -32,21 +33,7 @@ def planted(n=400, d=3, k=4, seed=0):
     return generate_synthetic(spec)[0]
 
 
-# --- projection and budget policy ---------------------------------------
-
-
-def test_projection_dim_formula_fallback():
-    # without jl_dim the working dimension is the distortion formula, also
-    # for names of well-known datasets, and never above d
-    rng = np.random.default_rng(4)
-    wide = Dataset(rng.normal(size=(100, 200)))
-    for name in ("other", "fashionmnist"):
-        rows = run_sweep(wide, k=2, methods=("uniform",), budgets=(10,), trials=1,
-                         dataset_name=name)
-        assert rows[0].d_prime == jl_target_dim(200, 100, 0.5) < 200
-    narrow = Dataset(rng.normal(size=(10, 3)))
-    rows = run_sweep(narrow, k=2, methods=("uniform",), budgets=(5,), trials=1)
-    assert rows[0].d_prime == 3
+# --- budget policy ---------------------------------------------------------
 
 
 def test_default_budgets():
@@ -147,12 +134,24 @@ def test_sweep_default_k_and_budgets():
     assert tuple(r.budget_requested for r in rows) == default_budgets(k, 100)
 
 
-def test_sweep_projection_applied():
+def test_sweep_costs_are_on_the_input_rows():
+    # d = 200 > 32 ln n: wide enough that a distance-preserving projection
+    # would shrink it, yet every cost is taken on the rows as given
     rng = np.random.default_rng(8)
-    data = Dataset(rng.normal(size=(60, 30)))
-    rows = run_sweep(data, k=3, methods=("uniform",), budgets=(10,),
-                     trials=1, seed=0, jl_dim=5)
-    assert rows[0].d == 30 and rows[0].d_prime == 5
+    data = Dataset(rng.normal(size=(120, 200)))
+    rows = run_sweep(data, k=3, methods=("benchmark", "hash", "sample", "uniform"),
+                     budgets=(12,), trials=2, seed=4)
+    assert all(r.d == 200 for r in rows)
+    bench = gonzalez(data, 3, start_index=0).cost_on_solve_set
+    for r in rows:
+        if r.method == "benchmark":
+            assert r.cost_on_full == bench
+            continue
+        subset, _ = build_coreset(r.method, data, 3, r.budget_requested,
+                                  _cell_seed(4, r.method, r.budget_requested, r.trial))
+        sol = gonzalez(data.take(subset), 3)
+        assert r.coreset_size_actual == subset.shape[0]
+        assert r.cost_on_full == evaluate_on_full(data, subset, sol), r.method
 
 
 def test_sweep_determinism_excludes_timing():
@@ -189,7 +188,7 @@ def test_sweep_validation():
 
 
 def sample_report(**overrides):
-    base = dict(dataset_name="toy", n=10, d=2, d_prime=2, k=3, method="hash",
+    base = dict(dataset_name="toy", n=10, d=2, k=3, method="hash",
                 budget_requested=6, coreset_size_actual=5, build_seconds=0.25,
                 solve_seconds=0.5, total_seconds=0.8, cost_on_full=1.5,
                 cost_ratio_vs_benchmark=1.25, seed=7, trial=0)
@@ -206,10 +205,10 @@ def read_rows(path):
 def test_emit_csv_layout(tmp_path):
     text = emit_report([sample_report()], fmt="csv")
     lines = text.splitlines()
-    assert lines[0] == ("datasetName,n,d,dPrime,k,method,budgetRequested,"
+    assert lines[0] == ("datasetName,n,d,k,method,budgetRequested,"
                         "coresetSizeActual,buildSeconds,solveSeconds,"
                         "totalSeconds,costOnFull,costRatioVsBenchmark,seed,trial")
-    assert lines[1] == "toy,10,2,2,3,hash,6,5,0.25,0.5,0.8,1.5,1.25,7,0"
+    assert lines[1] == "toy,10,2,3,hash,6,5,0.25,0.5,0.8,1.5,1.25,7,0"
 
 
 def test_emit_csv_roundtrip(tmp_path):
@@ -471,13 +470,9 @@ PINNED_CORESETS = {
 }
 # sha256 of run_sweep's CSV and JSON without the timing columns: all four
 # methods on planted(n=150, d=4, k=3, seed=13), budgets 8, 32 and one of n
-# or more, two trials, seed 5, at the full dimension and projected to 2
-PINNED_SWEEPS = {
-    None: ("41a33353a330a805d01e39db3c6606d426158a07959a279d732ef4831be35eca",
-           "d1a10722c945b09417ad6015dca43bac61ca8226dcd2e79dd220a0e8e7e7d68f"),
-    2: ("5a5ecdb95ddd4f65b75eada5895ed111ae7ace1995d8299de3c750cc79bc453f",
-        "9356624f636a4818654abcaf2f958f7e9a51ec5c1e9a42d65a13cf341860b422"),
-}
+# or more, two trials, seed 5
+PINNED_SWEEP = ("60400aba487bcf13600d13bfc9a47a1243d4337b93730974019b4d290e2bd898",
+                "caf1a39995f9af958416e24b79abbb648b8474f37726333416905bf167022f24")
 
 
 def digest(text):
@@ -494,11 +489,10 @@ def test_cli_coreset_output_is_pinned(tmp_path, method):
     assert digest(out.read_text()) == PINNED_CORESETS[method]
 
 
-@pytest.mark.parametrize("jl_dim", [None, 2])
-def test_sweep_output_is_pinned(jl_dim):
+def test_sweep_output_is_pinned():
     rows = run_sweep(planted(n=150, d=4, k=3, seed=13), k=3,
                      methods=("benchmark", "hash", "sample", "uniform"),
-                     budgets=(8, 32, 10**6), trials=2, seed=5, jl_dim=jl_dim)
+                     budgets=(8, 32, 10**6), trials=2, seed=5)
     keep = [i for i, (col, _) in enumerate(REPORT_COLUMNS) if col not in TIMING_COLUMNS]
     table = list(csv.reader(io.StringIO(emit_report(rows, fmt="csv"))))
     text = "\n".join(",".join(line[i] for i in keep) for line in table)
@@ -506,4 +500,4 @@ def test_sweep_output_is_pinned(jl_dim):
     for rec in records:
         for col in TIMING_COLUMNS:
             del rec[col]
-    assert (digest(text), digest(json.dumps(records))) == PINNED_SWEEPS[jl_dim]
+    assert (digest(text), digest(json.dumps(records))) == PINNED_SWEEP

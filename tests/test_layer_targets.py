@@ -19,8 +19,8 @@ LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 # targets whose functions the library no longer has: the coarse estimator
 # and its 1-D projection are gone, and the sweep's anchor is timed inside
 # covering.build. The benchmark change that drops these targets (ROADMAP
-# item 6) drops them here too; until then coarse.anchor_s and
-# dimred.project_1d_s read 0.
+# item 1) drops them here too; until then the benchmark's coarse-anchor and
+# 1-D projection metrics read 0.
 GONE = {"kcover.sampling:coarse_approx", "kcover.covering:coarse_approx",
         "kcover.coarse:project_1d"}
 
@@ -70,5 +70,5 @@ def test_hash_build_reaches_wrapped_targets(monkeypatch):
                         counting(calls, "eval_hash_batch", covering.eval_hash_batch))
     data = Dataset(np.random.default_rng(3).normal(size=(200, 3)))
     covering.build_covering_hash(
-        data, covering.HashCoveringConfig(k=3, mode="budget", budget=24, seed=1))
+        data, covering.HashCoveringConfig(k=3, budget=24, seed=1))
     assert calls["eval_hash_batch"] >= 1

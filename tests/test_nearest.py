@@ -343,6 +343,20 @@ def radii_at(dists):
     return np.unique(np.maximum(radii, 0.0))
 
 
+def thinned(radii, dists, cap):
+    """radii, or at cap 16, where every block holds one row, a few radii.
+
+    The few are the 0, 0.5 and 1 quantiles of the finite distances, from a
+    radius that leaves nearly every row far to one that covers every row,
+    and the first finite distance with its float neighbours, a radius
+    exactly at a row's distance.
+    """
+    if cap != 16:
+        return radii
+    dists = dists[np.isfinite(dists)]
+    return np.concatenate([np.quantile(dists, [0.0, 0.5, 1.0]), radii_at(dists[:1])])
+
+
 def check_farther_than(oracle, points, radii, cap, first=core._FIRST_CHUNK):
     with mock.patch.object(core, "_BLOCK_ELEMS", cap), \
             mock.patch.object(core, "_FIRST_CHUNK", first), \
@@ -383,7 +397,8 @@ def test_farther_than_where_the_screen_overflows(cap):
         with np.errstate(over="ignore", invalid="ignore"):
             dists = np.sqrt(nearest_member_loop(points, oracle.members)[1])
         radii = radii_at(dists)
-        check_farther_than(oracle, points, radii[::max(1, radii.size // 40)], cap, 1)
+        radii = thinned(radii[::max(1, radii.size // 40)], dists, cap)
+        check_farther_than(oracle, points, radii, cap, 1)
         check_farther_than(oracle, points, [1.34e154, 1e200, np.inf], cap)
 
 
@@ -397,7 +412,29 @@ def test_farther_than_on_coordinate_sorted_rows(cap):
     oracle = ExactOracle(Dataset(points), rng.choice(3000, size=400, replace=False))
     dists = np.sqrt(nearest_member_loop(points, oracle.members)[1])
     radii = np.quantile(dists, [0.0, 0.1, 0.5, 0.9, 1.0])
-    check_farther_than(oracle, points, np.concatenate([radii, radii_at(dists[:5])]), cap)
+    radii = thinned(np.concatenate([radii, radii_at(dists[:5])]), dists, cap)
+    # per scan: (row visits summed over its chunks, rows in its last chunk)
+    scans = []
+    bracket_scan, slack = core._bracket_scan, core._slack
+
+    def counting_scan(*args):
+        scans.append([0, 0])
+        live, lower, upper = bracket_scan(*args)
+        scans[-1][1] = lower.size
+        return live, lower, upper
+
+    def counting_slack(xx, *args):
+        scans[-1][0] += xx.size
+        return slack(xx, *args)
+
+    with mock.patch.object(core, "_bracket_scan", counting_scan), \
+            mock.patch.object(core, "_slack", counting_slack):
+        check_farther_than(oracle, points, radii, cap)
+    if cap == 16:
+        # each chunk holds 16 of the 400 members, so a scan runs up to 25;
+        # its visits exceed n + 24 * (rows in the last chunk) exactly when
+        # some row left after its second chunk or later
+        assert any(visits > points.shape[0] + 24 * last for visits, last in scans)
 
 
 @pytest.mark.parametrize("cap", BLOCK_CAPS)
@@ -407,7 +444,7 @@ def test_farther_than_with_duplicate_members(cap):
     points = np.vstack([np.full((60, 3), 1e8 + 0.5), rng.normal(size=(200, 3)) + 1e8])
     oracle = ExactOracle(Dataset(points), np.arange(80))
     dists = np.sqrt(nearest_member_loop(points, oracle.members)[1])
-    check_farther_than(oracle, points, radii_at(dists)[::5], cap, 1)
+    check_farther_than(oracle, points, thinned(radii_at(dists)[::5], dists, cap), cap, 1)
     check_farther_than(oracle, points, [0.0], cap)
 
 

@@ -119,7 +119,7 @@ def halves(seed=0):
     rng = np.random.default_rng(seed)
     a = Dataset(rng.normal(loc=0.0, size=(80, 2)))
     b = Dataset(rng.normal(loc=50.0, size=(70, 2)))
-    cfg = HashCoveringConfig(k=3, mode="budget", budget=12, seed=seed)
+    cfg = HashCoveringConfig(k=3, budget=12, seed=seed)
     return a, build_covering_hash(a, cfg), b, build_covering_hash(b, cfg)
 
 
@@ -165,7 +165,7 @@ def test_reduce_two_stage_radius_adds():
 
     def inner(sub):
         return build_covering_hash(
-            sub, HashCoveringConfig(k=3, mode="budget", budget=5, seed=1)
+            sub, HashCoveringConfig(k=3, budget=5, seed=1)
         )
 
     reduced = reduce_covering(a, cov_a, inner)
@@ -183,7 +183,7 @@ def test_reduce_after_merge_still_covers():
 
     def inner(sub):
         return build_covering_hash(
-            sub, HashCoveringConfig(k=4, mode="budget", budget=8, seed=2)
+            sub, HashCoveringConfig(k=4, budget=8, seed=2)
         )
 
     reduced = reduce_covering(merged, cov, inner)
@@ -209,7 +209,7 @@ def test_pipeline_end_to_end_bound():
         k = int(rng.integers(2, 9))
         data = Dataset(rng.normal(scale=4.0, size=(n, d)))
         opt_ref = gonzalez(data, k).cost_on_solve_set
-        cfg = HashCoveringConfig(k=k, mode="budget", budget=8 * k, seed=trial)
+        cfg = HashCoveringConfig(k=k, budget=8 * k, seed=trial)
         covering = build_covering_hash(data, cfg)
         sol = gonzalez(data.take(covering.subset), k)
         value = evaluate_on_full(data, covering.subset, sol)

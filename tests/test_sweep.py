@@ -33,7 +33,7 @@ def instances():
 
 BUILDS = {
     "hash-budget": lambda data: build_covering_hash(
-        data, HashCoveringConfig(k=4, mode="budget", budget=10, seed=7)),
+        data, HashCoveringConfig(k=4, budget=10, seed=7)),
     "sample": lambda data: build_covering_sample(
         data, SampleCoveringConfig(k=2, sample_constant=0.1, seed=7)),
 }
@@ -103,7 +103,7 @@ def test_duplicate_rows_collapse_to_lowest_index(method):
                     [0.0, 1.0], [5.0, -1.0], [5.0, -1.0]])
     build = {
         "hash-budget": lambda: build_covering_hash(
-            data, HashCoveringConfig(k=3, mode="budget", budget=3, seed=1)),
+            data, HashCoveringConfig(k=3, budget=3, seed=1)),
         "sample": lambda: build_covering_sample(data, SampleCoveringConfig(k=3, seed=1)),
     }[method]
     result = build()
@@ -117,7 +117,7 @@ def test_budget_below_the_distinct_rows_of_a_zero_cost_instance(build):
     # 3 distinct rows and k = 3: the optimum is 0, but the collapse does not
     # fit the budget of 2, so the search starts from the spread instead
     data = Dataset([[0.0, 0.0], [0.0, 0.0], [4.0, 0.0], [4.0, 3.0]])
-    result = build(data, HashCoveringConfig(k=3, mode="budget", budget=2, seed=0))
+    result = build(data, HashCoveringConfig(k=3, budget=2, seed=0))
     assert result.size <= 2 and result.sizes[0] == 3
     assert covering_ok(data.coords, result.subset, result.radius_bound)
 
@@ -225,7 +225,7 @@ def edge_instance(name, seed):
 
 EDGE_BUILDS = {
     "hash-budget": lambda data, k, seed: build_covering_hash(
-        data, HashCoveringConfig(k=k, mode="budget", budget=min(data.n, 8 * k), seed=seed)),
+        data, HashCoveringConfig(k=k, budget=min(data.n, 8 * k), seed=seed)),
     "sample": lambda data, k, seed: build_covering_sample(
         data, SampleCoveringConfig(k=k, seed=seed)),
 }
@@ -261,12 +261,12 @@ def test_mix10k_coverings_are_nontrivial(method, seed):
 @pytest.mark.parametrize("offset", [0.0, 1e8])
 def test_budget_that_every_scale_fits_stops_halving(offset):
     # 150 distinct rows, each written twice, fit a budget of 200 at every
-    # scale, so budget mode halves until cell indices would outgrow float
-    # resolution, and stops there
+    # scale, so the budgeted search halves until cell indices would outgrow
+    # float resolution, and stops there
     rows = offset + np.random.default_rng(5).normal(size=(150, 3))
     data = Dataset(np.vstack([rows, rows]))
     result = build_covering_hash(
-        data, HashCoveringConfig(k=4, mode="budget", budget=200, seed=0))
+        data, HashCoveringConfig(k=4, budget=200, seed=0))
     assert covering_ok(data.coords, result.subset, result.radius_bound)
     assert result.size == 150 and result.iterations == len(result.sizes) < 100
     floor = covering._MIN_RELATIVE_SCALE * math.sqrt(3) * np.abs(data.coords).max()
@@ -291,5 +291,5 @@ def test_large_offset_at_large_n_stays_sound():
     # every row in one cell: one row at a radius bound of 1e-11
     data = Dataset(1e8 + np.random.default_rng(0).normal(size=(200_000, 1)))
     result = build_covering_hash(
-        data, HashCoveringConfig(k=4, mode="budget", budget=32, seed=0))
+        data, HashCoveringConfig(k=4, budget=32, seed=0))
     assert covering_ok(data.coords, result.subset, result.radius_bound)
