@@ -27,17 +27,24 @@ gets 0 or 1 row: ``cost`` sends 1 row against 20, 32 or 316 centers, and a
 sampling round sends 0 rows against about 540 members.
 
 Exact row dedup, of grid cells and of coordinates alike, is one routine,
-``first_occurrences``, built on sorting rather than ``np.unique``: one
-64-bit key per row, one unstable argsort of the keys, and an exact check of
-every key group against full rows. Given a budget, it stops after the sort
-when the distinct keys already exceed it; equal rows get equal keys, so that
-count is a lower bound on the distinct rows. Value-only dedup of 1-D arrays
-(row indices, keys) is ``sorted_distinct``, a sort and an adjacent compare.
+``first_occurrences``, built on sorting rather than ``np.unique``. When the
+rows' bounding box times n fits in 63 bits (grid cells at the scales a
+budget accepts, in d = 2 and d = 20 alike), each row packs into one int64
+key, its offset in the box followed by its row index; one sort of those keys
+groups equal rows with the lowest index first, and every count is exact.
+Otherwise (high-dimensional cells at fine scales, float bit patterns) each
+row gets a 64-bit mixed key, the keys get one unstable argsort, and every
+key group is checked against full rows. Given a budget, it stops after the
+sort when the distinct keys already exceed it; equal rows get equal keys, so
+on the mixed path that count is a lower bound on the distinct rows.
+Value-only dedup of 1-D arrays (row indices, keys) is ``sorted_distinct``, a
+sort and an adjacent compare.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import threading
 
 import numpy as np
@@ -53,6 +60,8 @@ _BLOCK_ELEMS = 1 << 16
 _FIRST_CHUNK = 32
 # fixed seed of _bracket_scan's member visit order; no result depends on it
 _VISIT_SEED = 0x6661727468
+# leading rows whose cell box _packed_keys tests before the full extents
+_PACK_PROBE_ROWS = 1024
 # fixed seed of the row-mix multipliers; no dedup result depends on it
 _MIX_SEED = 0x6B636F766572
 # each thread's _scratch_buffer, kept from one call to the next
@@ -230,25 +239,69 @@ def sorted_distinct(values) -> np.ndarray:
     return ordered[_group_starts(ordered)]
 
 
+def _packed_keys(rows: np.ndarray):
+    """(keys, row_bits) packing each row of an int64 array exactly, or None.
+
+    A row's key is its mixed-radix offset inside the rows' bounding box,
+    shifted left by row_bits = bit_length(n - 1), ORed with its row index.
+    The keys are distinct and order rows by offset, then by index. None when
+    the largest key would not fit in 63 bits; the fit test runs on Python
+    ints, so a column spanning most of the int64 range cannot overflow it.
+    """
+    n, width = rows.shape
+    row_bits = (n - 1).bit_length()
+    # the leading rows' box lies inside the full box, so rows whose leading
+    # block already does not fit are turned away without a full pass
+    for block in (rows[:_PACK_PROBE_ROWS], rows):
+        lo, hi = column_extents(block)
+        lo = lo.tolist()
+        spans = [b - a + 1 for a, b in zip(lo, hi.tolist())]
+        if math.prod(spans) << row_bits > 1 << 63:
+            return None
+    # each column's place value, already shifted past the row index bits.
+    # uint64 arithmetic wraps modulo 2**64 and every true key lies in
+    # [0, 2**63), so the wrapped matmul and difference are exact
+    places = [math.prod(spans[j + 1:]) << row_bits for j in range(width)]
+    origin = sum(a * p for a, p in zip(lo, places)) % (1 << 64)
+    keys = rows.view(np.uint64) @ np.array(places, dtype=np.uint64)
+    keys -= np.uint64(origin)
+    keys |= np.arange(n, dtype=np.uint64)
+    return keys.view(np.int64), row_bits
+
+
 def first_occurrences(rows, budget=None):
     """Lowest index of each distinct row of a nonempty 2-D array.
 
     Returns (count, indices): indices sorted ascending, count their number.
     Given a budget, more than budget distinct rows come back as (count,
-    None). When the distinct row_keys already exceed the budget, count is
-    their number: a lower bound on the distinct rows, equal to it unless
-    two of them collide in 64 bits. Otherwise count is exact.
+    None). Integer rows (grid cells) compare as full vectors. Float rows
+    compare by the bit pattern of ``row + 0.0``, so 0.0 and -0.0 are one
+    value, as ``np.unique`` treats them.
 
-    Integer rows (grid cells) compare as full vectors. Float rows compare by
-    the bit pattern of ``row + 0.0``, so 0.0 and -0.0 are one value, as
-    ``np.unique`` treats them. Rows are ordered by one unstable argsort of
-    their row_keys, and every key group is verified row by row; on a key
-    collision the routine falls back to a lexicographic ``np.unique``.
+    Rows whose bounding box times n fits in 63 bits take the packed path
+    (``_packed_keys``): one in-place sort of the packed keys, an adjacent
+    compare of their offsets, and the row index of each group's first key.
+    The keys are injective, so every count is exact, over budget too.
+
+    Other rows take the mixed path: one unstable argsort of their row_keys,
+    and every key group is verified row by row; on a key collision the
+    routine falls back to a lexicographic ``np.unique``. When the distinct
+    keys already exceed the budget, count is their number: a lower bound on
+    the distinct rows, equal to it unless two of them collide in 64 bits.
     """
     arr = np.asarray(rows)
     if arr.dtype.kind == "f":
         arr = (arr.astype(np.float64, copy=False) + 0.0).view(np.int64)
     arr = np.ascontiguousarray(arr, dtype=np.int64)
+    packed = _packed_keys(arr)
+    if packed is not None:
+        keys, row_bits = packed
+        keys.sort()
+        starts = _group_starts(keys >> row_bits)
+        count = int(np.count_nonzero(starts))
+        if budget is not None and count > budget:
+            return count, None
+        return count, np.sort(keys[starts] & ((1 << row_bits) - 1))
     n, width = arr.shape
     keys = row_keys(arr)
     order = np.argsort(keys)

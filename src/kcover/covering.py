@@ -70,8 +70,10 @@ class CoveringResult:
     sizes holds one entry per scale the sweep inspected. An accepted grid
     scale records its exact occupied cell count. A rejected one records a
     certified lower bound on it: the distinct cell keys of a fixed row
-    subsample, or of all rows when the subsample fit the budget. A key count
-    equals the cell count unless two cells' 64-bit keys collide.
+    subsample, or the count of a full pass when the subsample fit the
+    budget. A full pass whose cells pack into 63 bits counts cells exactly;
+    any other key count equals the cell count unless two cells' 64-bit keys
+    collide.
     """
 
     subset: np.ndarray

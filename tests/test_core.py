@@ -19,6 +19,8 @@ from kcover.core import (
     sorted_distinct,
     sq_dists_to_point,
 )
+from kcover.datasets import SyntheticSpec, generate_synthetic
+from kcover.gridhash import eval_hash_batch, sample_hash
 from kcover.neighbor import ExactOracle
 from kcover.solver import evaluate_on_full, gonzalez
 
@@ -214,17 +216,101 @@ def test_first_occurrences_over_budget_count_is_a_lower_bound(rows, budget):
         assert first is None and budget < count <= exact
 
 
+def never_row_keys(rows):
+    raise AssertionError("row_keys called on rows that fit the packed path")
+
+
+@st.composite
+def small_int_rows(draw):
+    """Up to 300 integer rows of width 1 to 6 with entries in [-r, r], r <= 4."""
+    width = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 300))
+    r = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(-r, r + 1, size=(n, width))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_int_rows(), st.integers(-3, 3))
+def test_first_occurrences_packed_counts_are_exact(rows, offset):
+    # small-int rows always fit the packed path, whose count is exact on
+    # both sides of the budget
+    _, index = np.unique(rows, axis=0, return_index=True)
+    budget = max(0, index.size + offset)
+    count, first = first_occurrences(rows, budget)
+    assert count == index.size
+    if count > budget:
+        assert first is None
+    else:
+        assert first.dtype == np.int64 and first.tolist() == np.sort(index).tolist()
+
+
 @pytest.mark.parametrize("width", [1, 2, 20])
-def test_first_occurrences_of_one_row(width):
+def test_first_occurrences_of_one_row(width, monkeypatch):
+    # one row spans a box of one cell, so it always packs
+    monkeypatch.setattr(core, "row_keys", never_row_keys)
     assert first_occurrences(np.full((1, width), -7))[1].tolist() == [0]
     assert first_occurrences(np.full((1, width), -0.0), budget=1)[1].tolist() == [0]
     assert first_occurrences(np.full((1, width), 2.5), budget=0) == (1, None)
 
 
+def test_first_occurrences_packed_box_edges(monkeypatch):
+    spy = []
+    keys = core.row_keys
+    monkeypatch.setattr(core, "row_keys", lambda r: spy.append(r.shape) or keys(r))
+    # a span of 2**61 cells times 4 rows (2 row bits) fills 63 bits exactly:
+    # the largest key is 2**63 - 1
+    count, first = first_occurrences(np.array([[0], [2**61 - 1], [0], [5]]))
+    assert count == 3 and first.tolist() == [0, 1, 3] and spy == []
+    # one cell more needs a 64th bit, so those rows take the mixed path
+    count, first = first_occurrences(np.array([[0], [2**61], [0], [5]]))
+    assert count == 3 and first.tolist() == [0, 1, 3] and spy == [(4, 1)]
+    # a column from int64 min to max spans 2**64 cells; the fit test must not wrap
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    count, first = first_occurrences(np.array([[lo, 0], [hi, 0], [lo, 0], [hi, 1]]))
+    assert count == 3 and first.tolist() == [0, 1, 3] and spy[1:] == [(4, 2)]
+    # leading rows that fit do not make the rows fit: the last row spreads
+    # them over 2**62 cells
+    rows = np.zeros((3000, 1), dtype=np.int64)
+    rows[-1] = 2**62
+    count, first = first_occurrences(rows)
+    assert count == 2 and first.tolist() == [0, 2999] and spy[2:] == [(3000, 1)]
+
+
+def test_first_occurrences_packs_float_rows_that_fit(monkeypatch):
+    # +0.0 maps -0.0 to 0.0's bit pattern, and 1.0 and the next float up are
+    # adjacent integers as bit patterns: both boxes are tiny
+    monkeypatch.setattr(core, "row_keys", never_row_keys)
+    zeros = np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
+    assert first_occurrences(zeros)[1].tolist() == [0]
+    up = np.nextafter(1.0, 2.0)
+    rows = np.array([[up], [1.0], [up], [1.0], [1.0]])
+    assert first_occurrences(rows)[1].tolist() == [0, 1]
+    assert first_occurrences(rows, budget=1) == (2, None)
+
+
+def test_first_occurrences_path_follows_the_cell_box(monkeypatch):
+    # 20k uniform rows in d = 2 hash to about 140 cells per axis and pack;
+    # mixture rows in d = 20, at a scale far below the cluster spread, span
+    # far more than 2**63 cells and do not
+    monkeypatch.setattr(core, "row_keys", never_row_keys)
+    box, _ = generate_synthetic(SyntheticSpec("uniform_box", n=20_000, d=2, seed=1))
+    cells = eval_hash_batch(sample_hash(2, 0.01, 1), box.coords)
+    assert first_occurrences(cells, budget=20_000)[1] is not None
+    mix, _ = generate_synthetic(SyntheticSpec("gaussian_mixture", n=2000, d=20,
+                                              k_planted=10, seed=1))
+    cells = eval_hash_batch(sample_hash(20, 2.0, 1), mix.coords)
+    with pytest.raises(AssertionError, match="packed path"):
+        first_occurrences(cells)
+
+
 def test_first_occurrences_with_colliding_keys(monkeypatch):
     # ten distinct rows under three keys: the key count is a strict lower
-    # bound, and a key count within the budget still dedups exactly
-    rows = np.arange(10, dtype=np.int64).reshape(-1, 1).repeat(2, axis=0)
+    # bound, and a key count within the budget still dedups exactly. The
+    # second column spreads the rows over 2**62 cells, so that they take the
+    # mixed path, where keys can collide
+    values = np.arange(10, dtype=np.int64).repeat(2)
+    rows = np.column_stack([values, (values % 2) << 62])
     keys = core.row_keys
     monkeypatch.setattr(core, "row_keys", lambda r: keys(r) % np.uint64(3))
     assert first_occurrences(rows, budget=2) == (3, None)

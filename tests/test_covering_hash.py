@@ -46,12 +46,18 @@ def test_representatives_all_distinct():
 def test_representatives_first_occurrence(monkeypatch):
     cells = np.array([[0], [1], [0], [2], [1]], dtype=np.int64)  # A B A C B
     assert first_occurrences(cells)[1].tolist() == [0, 1, 3]
-    # every row under one key: verification must catch it and dedup exactly
-    monkeypatch.setattr(core, "row_keys", lambda rows: np.zeros(len(rows), dtype=np.uint64))
+    # every row under one key: verification must catch it and dedup exactly.
+    # A second column over 2**62 cells keeps the rows off the packed path,
+    # which needs no keys
+    cells = np.column_stack([cells[:, 0], cells[:, 0] << 61])
+    calls = []
+    monkeypatch.setattr(core, "row_keys",
+                        lambda rows: calls.append(1) or np.zeros(len(rows), dtype=np.uint64))
     count, reps = first_occurrences(cells)
     assert count == 3 and reps.tolist() == [0, 1, 3]
     # the key count, 1, fits a budget of 2; the exact count does not
     assert first_occurrences(cells, budget=2) == (3, None)
+    assert len(calls) == 2
 
 
 def test_identical_rows_collapse_to_one():
