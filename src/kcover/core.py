@@ -27,23 +27,21 @@ gets 0 or 1 row: ``cost`` sends 1 row against 20, 32 or 316 centers, and a
 sampling round sends 0 rows against about 540 members.
 
 Exact row dedup, of grid cells and of coordinates alike, is one routine,
-``first_occurrences``, built on sorting rather than ``np.unique``. When the
-rows' bounding box times n fits in 63 bits (grid cells at the scales a
-budget accepts, in d = 2 and d = 20 alike), each row packs into one int64
-key, its offset in the box followed by its row index; one sort of those keys
-groups equal rows with the lowest index first, and every count is exact.
-Otherwise (high-dimensional cells at fine scales, float bit patterns) each
-row gets a 64-bit mixed key, the keys get one unstable argsort, and every
-key group is checked against full rows. Given a budget, it stops after the
-sort when the distinct keys already exceed it; equal rows get equal keys, so
-on the mixed path that count is a lower bound on the distinct rows.
-Value-only dedup of 1-D arrays (row indices, keys) is ``sorted_distinct``, a
-sort and an adjacent compare.
+``first_occurrences``, built on sorting and with no hashing. It folds the
+columns into group ids over rounds: each round packs a row's group id and
+as many next columns as fit, in mixed radix, above the row index bits of
+one int64 key, and one in-place sort of the keys yields the next group
+ids. When the rows' bounding box times n fits in 63 bits (grid cells at
+the scales a budget accepts, in d = 2 and d = 20 alike) one round does it
+all. A column too wide to fit beside the group ids (float bit patterns,
+fine cells spread over many of them) goes in as bit slices, high bits
+first. Every count is exact, over a budget too. Value-only dedup of 1-D
+arrays (row indices, keys) is ``sorted_distinct``, a sort and an adjacent
+compare.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 
@@ -60,10 +58,6 @@ _BLOCK_ELEMS = 1 << 16
 _FIRST_CHUNK = 32
 # fixed seed of _bracket_scan's member visit order; no result depends on it
 _VISIT_SEED = 0x6661727468
-# leading rows whose cell box _packed_keys tests before the full extents
-_PACK_PROBE_ROWS = 1024
-# fixed seed of the row-mix multipliers; no dedup result depends on it
-_MIX_SEED = 0x6B636F766572
 # each thread's _scratch_buffer, kept from one call to the next
 _scratch = threading.local()
 
@@ -192,34 +186,6 @@ def column_extents(coords: np.ndarray):
     return lo, hi
 
 
-@functools.lru_cache(maxsize=64)
-def _mix_multipliers(width: int) -> np.ndarray:
-    """Read-only odd uint64 multipliers of row_keys, drawn once per width.
-
-    Random ones: structured multipliers (say, multiples of one constant)
-    make grid cells collide all the time.
-    """
-    mults = np.random.default_rng(_MIX_SEED).integers(
-        0, 2**63, size=width, dtype=np.int64).astype(np.uint64) | np.uint64(1)
-    mults.setflags(write=False)
-    return mults
-
-
-def row_keys(rows) -> np.ndarray:
-    """64-bit linear mix of each row of a 2-D integer array.
-
-    Equal rows get equal keys and distinct rows collide only by chance, so
-    the number of distinct keys is a lower bound on the number of distinct
-    rows.
-    """
-    u = np.asarray(rows, dtype=np.int64).view(np.uint64)
-    # folding the high half onto the low half lets the mix see entries whose
-    # low bits are all zero, such as the bit patterns of short floats; the
-    # uint64 matmul wraps modulo 2**64 and runs several times faster than a
-    # multiply and row sum
-    return (u ^ (u >> 32)) @ _mix_multipliers(u.shape[1])
-
-
 def _group_starts(sorted_values) -> np.ndarray:
     """Mask of the positions of a sorted nonempty 1-D array that start a run."""
     starts = np.empty(sorted_values.shape[0], dtype=bool)
@@ -231,99 +197,117 @@ def _group_starts(sorted_values) -> np.ndarray:
 def sorted_distinct(values) -> np.ndarray:
     """Distinct values of a nonempty 1-D integer array, sorted ascending.
 
-    The same values as np.unique, from a sort and an adjacent compare;
-    np.unique without return arguments takes a hash path that is several
-    times slower on int64.
+    The same values as numpy's ``unique``, from a sort and an adjacent
+    compare; ``unique`` without return arguments takes a hash path that is
+    several times slower on int64.
     """
     ordered = np.sort(values)
     return ordered[_group_starts(ordered)]
 
 
-def _packed_keys(rows: np.ndarray):
-    """(keys, row_bits) packing each row of an int64 array exactly, or None.
+def _fold_digits(spans, col, rest, room):
+    """(digits, radices, col, rest) of one round of first_occurrences' fold.
 
-    A row's key is its mixed-radix offset inside the rows' bounding box,
-    shifted left by row_bits = bit_length(n - 1), ORed with its row index.
-    The keys are distinct and order rows by offset, then by index. None when
-    the largest key would not fit in 63 bits; the fit test runs on Python
-    ints, so a column spanning most of the int64 range cannot overflow it.
+    A digit (j, bits, shift) is column j's offset above the column minimum,
+    cut to its low bits when bits is not None, shifted right by shift.
+    Starting at column col, of which only the low rest bits are left when
+    rest is not None, whole digits go in while the product of their radices
+    stays within room. When the first one does not fit alone, its high bits
+    go in instead, as many as room holds, and the returned rest is the
+    number of its low bits left for the next round.
     """
-    n, width = rows.shape
-    row_bits = (n - 1).bit_length()
-    # the leading rows' box lies inside the full box, so rows whose leading
-    # block already does not fit are turned away without a full pass
-    for block in (rows[:_PACK_PROBE_ROWS], rows):
-        lo, hi = column_extents(block)
-        lo = lo.tolist()
-        spans = [b - a + 1 for a, b in zip(lo, hi.tolist())]
-        if math.prod(spans) << row_bits > 1 << 63:
-            return None
-    # each column's place value, already shifted past the row index bits.
-    # uint64 arithmetic wraps modulo 2**64 and every true key lies in
-    # [0, 2**63), so the wrapped matmul and difference are exact
-    places = [math.prod(spans[j + 1:]) << row_bits for j in range(width)]
-    origin = sum(a * p for a, p in zip(lo, places)) % (1 << 64)
-    keys = rows.view(np.uint64) @ np.array(places, dtype=np.uint64)
-    keys -= np.uint64(origin)
-    keys |= np.arange(n, dtype=np.uint64)
-    return keys.view(np.int64), row_bits
+    digits, radices = [], []
+    while col < len(spans):
+        size = spans[col] if rest is None else 1 << rest
+        if math.prod(radices) * size <= room:
+            digits.append((col, rest, 0))
+            radices.append(size)
+            col, rest = col + 1, None
+            continue
+        if math.prod(radices) == 1:
+            bits = (spans[col] - 1).bit_length() if rest is None else rest
+            shift = bits - (room.bit_length() - 1)
+            digits.append((col, rest, shift))
+            radices.append(1 << (bits - shift))
+            rest = shift
+        break
+    return digits, radices, col, rest
+
+
+def _digit_values(column: np.ndarray, lo: int, bits, shift: int) -> np.ndarray:
+    """A _fold_digits digit of every row, from its int64 column and minimum lo."""
+    offsets = column.view(np.uint64) - np.uint64(lo % (1 << 64))
+    if bits is not None:
+        offsets &= np.uint64((1 << bits) - 1)
+    offsets >>= np.uint64(shift)
+    return offsets
 
 
 def first_occurrences(rows, budget=None):
     """Lowest index of each distinct row of a nonempty 2-D array.
 
-    Returns (count, indices): indices sorted ascending, count their number.
-    Given a budget, more than budget distinct rows come back as (count,
-    None). Integer rows (grid cells) compare as full vectors. Float rows
-    compare by the bit pattern of ``row + 0.0``, so 0.0 and -0.0 are one
-    value, as ``np.unique`` treats them.
+    Returns (count, indices): indices sorted ascending, count their number,
+    exact. Given a budget, more than budget distinct rows come back as
+    (count, None). Integer rows (grid cells) compare as full vectors. Float
+    rows compare by the bit pattern of ``row + 0.0``, so 0.0 and -0.0 are
+    one value, as numpy's ``unique`` treats them.
 
-    Rows whose bounding box times n fits in 63 bits take the packed path
-    (``_packed_keys``): one in-place sort of the packed keys, an adjacent
-    compare of their offsets, and the row index of each group's first key.
-    The keys are injective, so every count is exact, over budget too.
-
-    Other rows take the mixed path: one unstable argsort of their row_keys,
-    and every key group is verified row by row; on a key collision the
-    routine falls back to a lexicographic ``np.unique``. When the distinct
-    keys already exceed the budget, count is their number: a lower bound on
-    the distinct rows, equal to it unless two of them collide in 64 bits.
+    The columns fold into group ids over rounds (``_fold_digits``). A round
+    packs each row into one int64 key: its group id from the rounds before
+    and the round's digits in mixed radix, shifted left by row_bits =
+    bit_length(n - 1) and ORed with the row index, all below 2**63. Whole
+    columns go in one uint64 matmul; uint64 arithmetic wraps modulo 2**64
+    and every true key lies in [0, 2**63), so the wrapped sums are exact.
+    One in-place sort groups equal high bits with the lowest index first,
+    and the groups' ranks, scattered back through the index bits, are the
+    next round's group ids. The fold stops when the columns run out or
+    every row is alone in its group. Rows whose bounding box times n fits
+    in 63 bits take one round. The group ids take at most row_bits, so for
+    n up to 2**31 every round consumes at least one bit.
     """
     arr = np.asarray(rows)
     if arr.dtype.kind == "f":
         arr = (arr.astype(np.float64, copy=False) + 0.0).view(np.int64)
     arr = np.ascontiguousarray(arr, dtype=np.int64)
-    packed = _packed_keys(arr)
-    if packed is not None:
-        keys, row_bits = packed
+    n, width = arr.shape
+    row_bits = (n - 1).bit_length()
+    # the extents are taken on Python ints, so a column spanning most of
+    # the int64 range cannot overflow a span or a fit test
+    low, high = column_extents(arr)
+    lo = low.tolist()
+    spans = [b - a + 1 for a, b in zip(lo, high.tolist())]
+    count, ids, col, rest = 1, None, 0, None
+    while True:
+        digits, radices, col, rest = _fold_digits(spans, col, rest,
+                                                  (1 << (63 - row_bits)) // count)
+        places = [math.prod(radices[i + 1:]) << row_bits for i in range(len(digits))]
+        whole = [(j, p) for (j, bits, shift), p in zip(digits, places)
+                 if bits is None and not shift]
+        if whole:
+            block = arr[:, whole[0][0]:whole[-1][0] + 1].view(np.uint64)
+            keys = block @ np.array([p for _, p in whole], dtype=np.uint64)
+            keys -= np.uint64(sum(lo[j] * p for j, p in whole) % (1 << 64))
+        else:
+            keys = np.zeros(n, dtype=np.uint64)
+        for (j, bits, shift), p in zip(digits, places):
+            if bits is not None or shift:
+                keys += _digit_values(arr[:, j], lo[j], bits, shift) * np.uint64(p)
+        if ids is not None:
+            ids *= np.uint64(math.prod(radices) << row_bits)
+            keys += ids
+            ids = None
+        keys |= np.arange(n, dtype=np.uint64)
+        keys = keys.view(np.int64)
         keys.sort()
         starts = _group_starts(keys >> row_bits)
         count = int(np.count_nonzero(starts))
-        if budget is not None and count > budget:
-            return count, None
-        return count, np.sort(keys[starts] & ((1 << row_bits) - 1))
-    n, width = arr.shape
-    keys = row_keys(arr)
-    order = np.argsort(keys)
-    starts = _group_starts(keys[order])
-    count = int(np.count_nonzero(starts))
+        if count == n or (col == width and rest is None):
+            break
+        ids = np.empty(n, dtype=np.uint64)
+        ids[keys & ((1 << row_bits) - 1)] = np.cumsum(starts) - 1
     if budget is not None and count > budget:
         return count, None
-    # equal rows share a key, so the groups are exact when every row but a
-    # group's first equals the row before it. Whole rows are gathered as
-    # single void items (no fancy-indexed 2-D copy) and compared as integers,
-    # entry by entry: a row-wise all() over a few columns costs ten times more
-    heads = np.flatnonzero(starts)
-    ordered = arr.view((np.void, 8 * width)).ravel()[order].view(np.int64).reshape(n, width)
-    equal = ordered[1:] == ordered[:-1]  # row i + 1 against row i
-    if np.count_nonzero(equal) - np.count_nonzero(equal[heads[1:] - 1]) == width * (n - count):
-        first = np.minimum.reduceat(order, heads)
-    else:
-        _, first = np.unique(arr, axis=0, return_index=True)
-    first = np.sort(first.astype(np.int64, copy=False))
-    if budget is not None and first.shape[0] > budget:
-        return first.shape[0], None
-    return first.shape[0], first
+    return count, np.sort(keys[starts] & ((1 << row_bits) - 1))
 
 
 def _exact_sq(points: np.ndarray, members: np.ndarray) -> np.ndarray:

@@ -41,8 +41,6 @@ from .core import (
     first_occurrences,
     rng_stream,
     row_indices,
-    row_keys,
-    sorted_distinct,
 )
 from .gridhash import eval_hash_batch, sample_hash
 from .solver import gonzalez
@@ -67,13 +65,12 @@ _MIN_RELATIVE_SCALE = 2.0**-40
 class CoveringResult:
     """Row subset plus the radius within which it covers the dataset.
 
-    sizes holds one entry per scale the sweep inspected. An accepted grid
-    scale records its exact occupied cell count. A rejected one records a
-    certified lower bound on it: the distinct cell keys of a fixed row
-    subsample, or the count of a full pass when the subsample fit the
-    budget. A full pass whose cells pack into 63 bits counts cells exactly;
-    any other key count equals the cell count unless two cells' 64-bit keys
-    collide.
+    sizes holds one entry per scale the sweep inspected, each an exact count
+    of the distinct cells of the rows it hashed. An accepted grid scale
+    records its occupied cell count. A rejected one records the count of a
+    full pass or, when a fixed row subsample already exceeded the budget,
+    the subsample's count: a lower bound on the occupied cells only because
+    it counts a subsample.
     """
 
     subset: np.ndarray
@@ -260,7 +257,7 @@ def build_covering_hash(dataset: Dataset, cfg: HashCoveringConfig) -> CoveringRe
     budget = cfg.budget
 
     # fixed row subsample lets hopeless scales be rejected cheaply: its
-    # distinct-key count never exceeds the full distinct-cell count. Twice
+    # distinct-cell count never exceeds the full distinct-cell count. Twice
     # the budget catches most scales a few times over it, where the
     # bisection steps land, before they cost a full pass.
     sample_cap = min(n, 2 * budget + 2048)
@@ -273,7 +270,7 @@ def build_covering_hash(dataset: Dataset, cfg: HashCoveringConfig) -> CoveringRe
     def step(i: int, tau: float):
         h = sample_hash(d, tau, cfg.seed, stream=i)
         if filter_coords is not None:
-            sub_count = sorted_distinct(row_keys(eval_hash_batch(h, filter_coords))).size
+            sub_count = first_occurrences(eval_hash_batch(h, filter_coords), budget)[0]
             if sub_count > budget:
                 return sub_count, None
         return first_occurrences(eval_hash_batch(h, dataset.coords), budget)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kcover import core
 from kcover.cli import EXIT_USAGE, main
 from kcover.core import (
     Dataset,
@@ -184,14 +183,23 @@ def lexicographic_first(rows):
 def duplicated_rows(draw):
     """Up to 300 rows of width 1, 2 or 20 drawn from at most 8 distinct ones.
 
-    Floats draw from values that include both 0.0 and -0.0."""
+    Floats draw from values that include both 0.0 and -0.0; wide integers
+    from int64 min and max and from +-2**62, whose columns span more bits
+    than one key holds beside the row index."""
     width = draw(st.sampled_from([1, 2, 20]))
     n = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        pool = rng.choice([0.0, -0.0, 1.5, -2.25], size=(draw(st.integers(1, 8)), width))
+    shape = (draw(st.integers(1, 8)), width)
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    kind = draw(st.sampled_from(["float", "small", "extreme", "spread"]))
+    if kind == "float":
+        pool = rng.choice([0.0, -0.0, 1.5, -2.25], size=shape)
+    elif kind == "small":
+        pool = rng.integers(-3, 3, size=shape)
+    elif kind == "extreme":
+        pool = rng.choice(np.array([lo, lo + 1, -1, 0, hi - 1, hi]), size=shape)
     else:
-        pool = rng.integers(-3, 3, size=(draw(st.integers(1, 8)), width))
+        pool = rng.choice(np.array([-2**62, -1, 0, 1, 2**62]), size=shape)
     return pool[rng.integers(0, pool.shape[0], size=n)]
 
 
@@ -206,18 +214,14 @@ def test_first_occurrences_matches_lexicographic_unique(rows):
 
 @settings(max_examples=200, deadline=None)
 @given(duplicated_rows(), st.integers(0, 300))
-def test_first_occurrences_over_budget_count_is_a_lower_bound(rows, budget):
+def test_first_occurrences_over_budget_count_is_exact(rows, budget):
     expect = lexicographic_first(rows)
-    exact = expect.size
     count, first = first_occurrences(rows, budget)
-    if exact <= budget:
-        assert count == exact and first.tolist() == expect.tolist()
+    assert count == expect.size
+    if count <= budget:
+        assert first.tolist() == expect.tolist()
     else:
-        assert first is None and budget < count <= exact
-
-
-def never_row_keys(rows):
-    raise AssertionError("row_keys called on rows that fit the packed path")
+        assert first is None
 
 
 @st.composite
@@ -233,8 +237,8 @@ def small_int_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(small_int_rows(), st.integers(-3, 3))
 def test_first_occurrences_packed_counts_are_exact(rows, offset):
-    # small-int rows always fit the packed path, whose count is exact on
-    # both sides of the budget
+    # small-int rows pack into one key, and the count is exact on both
+    # sides of the budget
     _, index = np.unique(rows, axis=0, return_index=True)
     budget = max(0, index.size + offset)
     count, first = first_occurrences(rows, budget)
@@ -246,41 +250,41 @@ def test_first_occurrences_packed_counts_are_exact(rows, offset):
 
 
 @pytest.mark.parametrize("width", [1, 2, 20])
-def test_first_occurrences_of_one_row(width, monkeypatch):
-    # one row spans a box of one cell, so it always packs
-    monkeypatch.setattr(core, "row_keys", never_row_keys)
+def test_first_occurrences_of_one_row(width):
     assert first_occurrences(np.full((1, width), -7))[1].tolist() == [0]
     assert first_occurrences(np.full((1, width), -0.0), budget=1)[1].tolist() == [0]
     assert first_occurrences(np.full((1, width), 2.5), budget=0) == (1, None)
 
 
-def test_first_occurrences_packed_box_edges(monkeypatch):
-    spy = []
-    keys = core.row_keys
-    monkeypatch.setattr(core, "row_keys", lambda r: spy.append(r.shape) or keys(r))
+def test_first_occurrences_packed_box_edges():
     # a span of 2**61 cells times 4 rows (2 row bits) fills 63 bits exactly:
     # the largest key is 2**63 - 1
     count, first = first_occurrences(np.array([[0], [2**61 - 1], [0], [5]]))
-    assert count == 3 and first.tolist() == [0, 1, 3] and spy == []
-    # one cell more needs a 64th bit, so those rows take the mixed path
+    assert count == 3 and first.tolist() == [0, 1, 3]
+    # one cell more needs a 64th bit, so the column goes in as slices
     count, first = first_occurrences(np.array([[0], [2**61], [0], [5]]))
-    assert count == 3 and first.tolist() == [0, 1, 3] and spy == [(4, 1)]
-    # a column from int64 min to max spans 2**64 cells; the fit test must not wrap
+    assert count == 3 and first.tolist() == [0, 1, 3]
+    # a column from int64 min to max spans 2**64 cells; no span may wrap
     lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
     count, first = first_occurrences(np.array([[lo, 0], [hi, 0], [lo, 0], [hi, 1]]))
-    assert count == 3 and first.tolist() == [0, 1, 3] and spy[1:] == [(4, 2)]
-    # leading rows that fit do not make the rows fit: the last row spreads
-    # them over 2**62 cells
+    assert count == 3 and first.tolist() == [0, 1, 3]
+    # the second column goes in as its high 59 bits, beside the first
+    # column's 2 groups, and then as its low 5 bits. [0, lo + 160] and
+    # [1, lo + 96] have high bits 5 and 3 and group ranks 1 and 3, which add
+    # up alike: only cutting the high bits off the low ones keeps them apart
+    rows = np.array([[0, lo], [0, lo + 160], [0, hi], [1, lo + 96]]).repeat(2, axis=0)
+    count, first = first_occurrences(rows)
+    assert count == 4 and first.tolist() == [0, 2, 4, 6]
+    # one far row spreads 3000 rows over 2**62 cells
     rows = np.zeros((3000, 1), dtype=np.int64)
     rows[-1] = 2**62
     count, first = first_occurrences(rows)
-    assert count == 2 and first.tolist() == [0, 2999] and spy[2:] == [(3000, 1)]
+    assert count == 2 and first.tolist() == [0, 2999]
 
 
-def test_first_occurrences_packs_float_rows_that_fit(monkeypatch):
+def test_first_occurrences_packs_float_rows_that_fit():
     # +0.0 maps -0.0 to 0.0's bit pattern, and 1.0 and the next float up are
     # adjacent integers as bit patterns: both boxes are tiny
-    monkeypatch.setattr(core, "row_keys", never_row_keys)
     zeros = np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
     assert first_occurrences(zeros)[1].tolist() == [0]
     up = np.nextafter(1.0, 2.0)
@@ -289,34 +293,47 @@ def test_first_occurrences_packs_float_rows_that_fit(monkeypatch):
     assert first_occurrences(rows, budget=1) == (2, None)
 
 
-def test_first_occurrences_path_follows_the_cell_box(monkeypatch):
-    # 20k uniform rows in d = 2 hash to about 140 cells per axis and pack;
-    # mixture rows in d = 20, at a scale far below the cluster spread, span
-    # far more than 2**63 cells and do not
-    monkeypatch.setattr(core, "row_keys", never_row_keys)
+def test_first_occurrences_on_coarse_and_fine_cells():
+    # 20k uniform rows in d = 2 hash to about 140 cells per axis and fit one
+    # key; mixture rows in d = 20, at a scale far below the cluster spread,
+    # span far more than 2**63 cells and fold over several rounds
     box, _ = generate_synthetic(SyntheticSpec("uniform_box", n=20_000, d=2, seed=1))
-    cells = eval_hash_batch(sample_hash(2, 0.01, 1), box.coords)
-    assert first_occurrences(cells, budget=20_000)[1] is not None
     mix, _ = generate_synthetic(SyntheticSpec("gaussian_mixture", n=2000, d=20,
                                               k_planted=10, seed=1))
-    cells = eval_hash_batch(sample_hash(20, 2.0, 1), mix.coords)
-    with pytest.raises(AssertionError, match="packed path"):
-        first_occurrences(cells)
+    for cells in (eval_hash_batch(sample_hash(2, 0.01, 1), box.coords),
+                  eval_hash_batch(sample_hash(20, 2.0, 1), mix.coords)):
+        expect = lexicographic_first(cells)
+        count, first = first_occurrences(cells, budget=20_000)
+        assert count == expect.size and first.tolist() == expect.tolist()
 
 
-def test_first_occurrences_with_colliding_keys(monkeypatch):
-    # ten distinct rows under three keys: the key count is a strict lower
-    # bound, and a key count within the budget still dedups exactly. The
-    # second column spreads the rows over 2**62 cells, so that they take the
-    # mixed path, where keys can collide
+def test_first_occurrences_budget_on_rows_spread_over_2_62():
+    # ten distinct rows, each twice; the second column spreads them over
+    # 2**62 cells. The count is exact below, at and above the budget
     values = np.arange(10, dtype=np.int64).repeat(2)
     rows = np.column_stack([values, (values % 2) << 62])
-    keys = core.row_keys
-    monkeypatch.setattr(core, "row_keys", lambda r: keys(r) % np.uint64(3))
-    assert first_occurrences(rows, budget=2) == (3, None)
-    assert first_occurrences(rows, budget=5) == (10, None)
+    assert first_occurrences(rows, budget=2) == (10, None)
+    assert first_occurrences(rows, budget=9) == (10, None)
     count, first = first_occurrences(rows, budget=10)
     assert count == 10 and first.tolist() == list(range(0, 20, 2))
+
+
+def test_first_occurrences_past_2_20_rows():
+    # past 2**20 rows the row index takes 21 bits, so columns over the whole
+    # int64 range go in as slices of at most 42 bits, high bits first, and
+    # the pairs of rows that differ only in a column's lowest bit part in a
+    # later round than their high bits
+    rng = np.random.default_rng(3)
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    pool = rng.integers(lo, hi, size=(5000, 2), endpoint=True)
+    pool[1:2500:2] = pool[0:2500:2] ^ [1, 0]
+    pool[2501::2] = pool[2500::2] ^ [0, 1]
+    pool[-2:] = [[lo, lo], [hi, hi]]
+    rows = pool[rng.integers(0, pool.shape[0], size=(1 << 20) + 4321)]
+    expect = lexicographic_first(rows)
+    count, first = first_occurrences(rows)
+    assert count == expect.size and first.tolist() == expect.tolist()
+    assert first_occurrences(rows, budget=count - 1) == (count, None)
 
 
 @settings(max_examples=200, deadline=None)

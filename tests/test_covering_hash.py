@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from kcover import core
-from kcover.core import Dataset, first_occurrences
+from kcover import covering
+from kcover.core import Dataset, column_extents, first_occurrences
 from kcover.covering import (
     HashCoveringConfig,
     build_covering_hash,
@@ -43,21 +45,15 @@ def test_representatives_all_distinct():
     assert first_occurrences(cells)[1].tolist() == [0, 1, 2, 3, 4]
 
 
-def test_representatives_first_occurrence(monkeypatch):
+def test_representatives_first_occurrence():
     cells = np.array([[0], [1], [0], [2], [1]], dtype=np.int64)  # A B A C B
     assert first_occurrences(cells)[1].tolist() == [0, 1, 3]
-    # every row under one key: verification must catch it and dedup exactly.
-    # A second column over 2**62 cells keeps the rows off the packed path,
-    # which needs no keys
+    # a second column over 2**62 cells does not fit one key beside the rows'
+    # first column and index
     cells = np.column_stack([cells[:, 0], cells[:, 0] << 61])
-    calls = []
-    monkeypatch.setattr(core, "row_keys",
-                        lambda rows: calls.append(1) or np.zeros(len(rows), dtype=np.uint64))
     count, reps = first_occurrences(cells)
     assert count == 3 and reps.tolist() == [0, 1, 3]
-    # the key count, 1, fits a budget of 2; the exact count does not
     assert first_occurrences(cells, budget=2) == (3, None)
-    assert len(calls) == 2
 
 
 def test_identical_rows_collapse_to_one():
@@ -140,6 +136,37 @@ def test_scale_filter_path_is_consistent():
     assert covering_ok(data.coords, result.subset, result.radius_bound)
     assert any(s > 64 for s in result.sizes)
     assert (result.sizes[-1] == result.size) == (result.sizes[-1] <= 64)
+
+
+def test_every_recorded_size_is_an_exact_cell_count(monkeypatch):
+    # d = 20 mixture rows, where the subsample passes near the fitting scale
+    # span more cells than one key holds beside the row index, so their
+    # counts fold over several rounds; each scale's size is the distinct
+    # cell count of that scale's last hashed pass, subsample or full
+    data, _ = generate_synthetic(SyntheticSpec("gaussian_mixture", n=4000, d=20,
+                                               k_planted=10, seed=1))
+    passes = []
+
+    def recording(h, points):
+        cells = eval_hash_batch(h, points)
+        if passes and passes[-1][0] is h:
+            passes[-1] = (h, cells)
+        else:
+            passes.append((h, cells))
+        return cells
+
+    monkeypatch.setattr(covering, "eval_hash_batch", recording)
+    result = build_covering_hash(data, HashCoveringConfig(k=10, budget=100, seed=5))
+    exact = [np.unique(cells, axis=0).shape[0] for _, cells in passes]
+    assert list(result.sizes) == exact
+    assert any(s > 100 for s in result.sizes)
+
+    def fits_one_key(cells):
+        lo, hi = column_extents(cells)
+        box = math.prod(int(b) - int(a) + 1 for a, b in zip(lo, hi))
+        return box << (len(cells) - 1).bit_length() <= 2**63
+
+    assert not all(fits_one_key(cells) for _, cells in passes)
 
 
 def test_config_validation():
