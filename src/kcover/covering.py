@@ -10,8 +10,9 @@ certified lower bound L on the optimal cost: greedy on a uniform row
 sample, halved. It collapses exact duplicates when L is 0, and otherwise
 calls the construction's per-scale step on scales tau found from L: the
 sample construction (kcover.sampling) doubles tau from L until its rounds
-converge, and the grid-hash construction searches both ways from L for the
-smallest scale that fits, closing with geometric bisection.
+converge, and the grid-hash construction starts at L * min(1, k / budget),
+doubles until a scale fits and closes with geometric bisection. Neither
+search tries a scale below its start.
 
 The grid-hash step hashes the points into a grid at scale tau, with a
 fresh random shift at every scale, and keeps one representative per
@@ -56,9 +57,6 @@ _BUDGET_EXTRA_DOUBLINGS = 64
 _BISECTIONS = 2
 # the anchor's greedy runs on a sample of at least this many rows (and 4k)
 _ANCHOR_ROWS = 1000
-# a budgeted search stops halving once the scale is this fraction of the
-# largest coordinate magnitude (times sqrt(d)), so cell indices stay below 2**40
-_MIN_RELATIVE_SCALE = 2.0**-40
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,14 +164,17 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
     budget; otherwise the anchor is taken on the distinct rows. A budget of
     n or more skips the anchor and keeps the collapse.
 
-    Without a budget (the sample construction), tau doubles from L, never
-    below it, until a scale accepts or the radius bound reaches the
-    bounding-box diagonal. With one, tau starts at L * min(1, k / budget)
-    and doubles until a scale fits, up to _BUDGET_EXTRA_DOUBLINGS past the
-    scale at which one grid cell can hold the whole spread; if the first
-    scale fits, tau halves until one does not instead. Then _BISECTIONS
-    geometric bisection steps between the last scale that did not fit and
-    the first that did keep each midpoint that fits.
+    Without a budget (the sample construction), tau doubles from L until a
+    scale accepts or the radius bound reaches the bounding-box diagonal.
+    With one, tau starts at tau0 = L * min(1, k / budget), or at
+    2**-61 * sqrt(d) * max|x| if that is larger, so that no cell index
+    outgrows int64, and doubles until a scale fits, up to
+    _BUDGET_EXTRA_DOUBLINGS past the scale at which one grid cell can hold
+    the whole spread. A first scale that fits is kept; at tau0 its radius
+    bound is at most a fraction min(1, k / budget) of the optimum, as L <= opt.
+    Otherwise _BISECTIONS geometric bisection steps between the last scale
+    that did not fit and the first that did keep each midpoint that fits.
+    No scale below the start is tried.
     """
     coords = dataset.coords
     low, high = column_extents(coords)
@@ -207,7 +208,10 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
         # where the radius bound reaches the bounding-box diagonal
         top = float(np.sqrt((extent**2).sum())) / radius_factor
     else:
-        tau = anchor * min(1.0, k / budget)
+        # from 2**-61 sqrt(d) max|x| up, |x| / side stays below 2**61
+        largest = max(-float(low.min()), float(high.max()))
+        tau = max(anchor * min(1.0, k / budget),
+                  2.0**-61 * math.sqrt(dataset.d) * largest)
         # one cell can hold the whole spread from scale 2 d**1.5 spread on,
         # and a few fresh shifts past it succeed with overwhelming probability
         top = 2.0 * dataset.d ** 1.5 * spread * 2.0**_BUDGET_EXTRA_DOUBLINGS
@@ -218,22 +222,8 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
             raise ConstructionFailedError(f"no scale up to {top:g} fit", sizes=sizes)
         lo, tau = tau, 2.0 * tau
         best = attempt(tau)
-    if budget is None:
+    if budget is None or lo is None:
         return accepted(best, tau)
-    if lo is None:
-        # the first scale fit: halve until one does not; below floor, cell
-        # indices outgrow float resolution and int64
-        largest = max(-float(low.min()), float(high.max()))
-        floor = _MIN_RELATIVE_SCALE * math.sqrt(dataset.d) * largest
-        while True:
-            lo = tau / 2.0
-            if lo < floor:
-                return accepted(best, tau)
-            subset = attempt(lo)
-            if subset is None:
-                break
-            tau, best = lo, subset
-
     hi = tau
     for _ in range(_BISECTIONS):
         mid = math.sqrt(lo * hi)

@@ -343,18 +343,18 @@ def radii_at(dists):
     return np.unique(np.maximum(radii, 0.0))
 
 
-def thinned(radii, dists, cap):
-    """radii, or at cap 16, where every block holds one row, a few radii.
-
-    The few are the 0, 0.5 and 1 quantiles of the finite distances, from a
-    radius that leaves nearly every row far to one that covers every row,
-    and the first finite distance with its float neighbours, a radius
-    exactly at a row's distance.
-    """
-    if cap != 16:
-        return radii
+def few_radii(dists):
+    """The 0, 0.5 and 1 quantiles of the finite distances, from a radius that
+    leaves nearly every row far to one that covers every row, and the first
+    finite distance with its float neighbours, a radius exactly at a row's
+    distance."""
     dists = dists[np.isfinite(dists)]
     return np.concatenate([np.quantile(dists, [0.0, 0.5, 1.0]), radii_at(dists[:1])])
+
+
+def thinned(radii, dists, cap):
+    """radii, or at cap 16, where every block holds one row, few_radii."""
+    return few_radii(dists) if cap == 16 else radii
 
 
 def check_farther_than(oracle, points, radii, cap, first=core._FIRST_CHUNK):
@@ -411,20 +411,26 @@ def test_farther_than_on_coordinate_sorted_rows(cap):
     points = points[np.lexsort(points.T[::-1])]
     oracle = ExactOracle(Dataset(points), rng.choice(3000, size=400, replace=False))
     dists = np.sqrt(nearest_member_loop(points, oracle.members)[1])
-    radii = np.quantile(dists, [0.0, 0.1, 0.5, 0.9, 1.0])
-    radii = thinned(np.concatenate([radii, radii_at(dists[:5])]), dists, cap)
-    # per scan: (row visits summed over its chunks, rows in its last chunk)
+    if cap == core._BLOCK_ELEMS:
+        radii = np.quantile(dists, [0.0, 0.1, 0.5, 0.9, 1.0])
+        radii = np.concatenate([radii, radii_at(dists[:5])])
+    else:
+        # blocks of 1-2 rows; a few radii cover what these caps add
+        radii = few_radii(dists)
+    # per scan: (row visits summed over its chunks, rows in its last chunk,
+    # rows in its largest block)
     scans = []
     bracket_scan, slack = core._bracket_scan, core._slack
 
     def counting_scan(*args):
-        scans.append([0, 0])
+        scans.append([0, 0, 0])
         live, lower, upper = bracket_scan(*args)
         scans[-1][1] = lower.size
         return live, lower, upper
 
     def counting_slack(xx, *args):
         scans[-1][0] += xx.size
+        scans[-1][2] = max(scans[-1][2], xx.size)
         return slack(xx, *args)
 
     with mock.patch.object(core, "_bracket_scan", counting_scan), \
@@ -434,7 +440,10 @@ def test_farther_than_on_coordinate_sorted_rows(cap):
         # each chunk holds 16 of the 400 members, so a scan runs up to 25;
         # its visits exceed n + 24 * (rows in the last chunk) exactly when
         # some row left after its second chunk or later
-        assert any(visits > points.shape[0] + 24 * last for visits, last in scans)
+        assert any(visits > points.shape[0] + 24 * last for visits, last, _ in scans)
+    if cap == 64:
+        # a first chunk of 32 members leaves room for two rows per block
+        assert any(block > 1 for _, _, block in scans)
 
 
 @pytest.mark.parametrize("cap", BLOCK_CAPS)

@@ -161,14 +161,27 @@ def threshold_step(t_star, calls):
 BOX = instances()["box"]
 
 
+def budget_start(data, k, seed, budget):
+    """The budgeted search's first scale: the anchor times min(1, k / budget),
+    raised to 2**-61 sqrt(d) max|x| so that cell indices stay in int64."""
+    floor = 2.0**-61 * math.sqrt(data.d) * np.abs(data.coords).max()
+    return max(scale_anchor(data, k, seed) * min(1.0, k / budget), floor)
+
+
 @pytest.mark.parametrize("ratio", [1e-3, 0.3, 1.0, 7.3, 1e3])
 def test_budget_sweep_brackets_the_fitting_scale(ratio):
     t_star = ratio * scale_anchor(BOX, 4, 7)
+    start = budget_start(BOX, 4, 7, 10)
     calls = []
     result = sweep_scales(BOX, 4, 7, threshold_step(t_star, calls), 1.0, budget=10)
-    # each bisection step halves the bracket's log-width, from a factor 2
-    width = 2.0 ** (0.5**covering._BISECTIONS)
-    assert t_star <= result.tau_used <= width * t_star * (1 + 1e-12)
+    assert min(tau for _, tau in calls) == calls[0][1] == start
+    if t_star <= start:
+        # a first scale that fits is kept
+        assert result.tau_used == start and result.iterations == 1
+    else:
+        # each bisection step halves the bracket's log-width, from a factor 2
+        width = 2.0 ** (0.5**covering._BISECTIONS)
+        assert t_star <= result.tau_used <= width * t_star * (1 + 1e-12)
     assert [i for i, _ in calls] == list(range(result.iterations))
     assert len(result.sizes) == result.iterations
 
@@ -201,10 +214,14 @@ def edge_instance(name, seed):
     rng = np.random.default_rng(seed)
     if name == "centered-d8":
         return Dataset(rng.normal(size=(2000, 8))), 5
-    if name == "origin-pair":
+    if name.startswith("origin-pair"):
         # two tight clusters, one on the origin: a grid whose cell boundaries
-        # always pass through the origin splits the first at every scale
-        coords = rng.normal(scale=1e-3, size=(1000, 4))
+        # always pass through the origin splits the first at every scale. At
+        # spreads of 1e-9 and 1e-12 the anchor times k / budget lies below
+        # 2**-61 sqrt(d) max|x|, where the far cluster's cell indices would
+        # overflow int64.
+        spread = {"origin-pair": 1e-3, "origin-pair-1e-9": 1e-9, "origin-pair-1e-12": 1e-12}
+        coords = rng.normal(scale=spread[name], size=(1000, 4))
         coords[500:] += 1e15
         return Dataset(coords), 2
     if name == "planted-10k":
@@ -234,7 +251,8 @@ EDGE_BUILDS = {
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("method", sorted(EDGE_BUILDS))
 @pytest.mark.parametrize("instance", ["d1", "k-equals-n", "offset-1e8", "duplicate-heavy",
-                                      "centered-d8", "origin-pair", "planted-10k"])
+                                      "centered-d8", "origin-pair", "origin-pair-1e-9",
+                                      "origin-pair-1e-12", "planted-10k"])
 def test_edge_case_coverings_sound(instance, method, seed):
     data, k = edge_instance(instance, seed)
     if instance == "duplicate-heavy":
@@ -242,7 +260,7 @@ def test_edge_case_coverings_sound(instance, method, seed):
     result = EDGE_BUILDS[method](data, k, seed)
     assert covering_ok(data.coords, result.subset, result.radius_bound)
     assert result.size <= data.n if k == data.n else result.size < data.n
-    if instance == "origin-pair":
+    if instance.startswith("origin-pair"):
         assert result.radius_bound < 1.0
 
 
@@ -259,18 +277,41 @@ def test_mix10k_coverings_are_nontrivial(method, seed):
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e8])
-def test_budget_that_every_scale_fits_stops_halving(offset):
+def test_budget_that_every_scale_fits_keeps_the_first_scale(offset):
     # 150 distinct rows, each written twice, fit a budget of 200 at every
-    # scale, so the budgeted search halves until cell indices would outgrow
-    # float resolution, and stops there
+    # scale, so the budgeted search keeps its first one
     rows = offset + np.random.default_rng(5).normal(size=(150, 3))
     data = Dataset(np.vstack([rows, rows]))
     result = build_covering_hash(
         data, HashCoveringConfig(k=4, budget=200, seed=0))
     assert covering_ok(data.coords, result.subset, result.radius_bound)
-    assert result.size == 150 and result.iterations == len(result.sizes) < 100
-    floor = covering._MIN_RELATIVE_SCALE * math.sqrt(3) * np.abs(data.coords).max()
-    assert result.tau_used / 2 < floor <= result.tau_used
+    assert result.size <= 200 and result.iterations == 1
+    assert result.tau_used == budget_start(data, 4, 0, 200)
+
+
+def test_duplicate_heavy_rows_take_one_scale():
+    # 50k rows drawn from 100 distinct points: every scale fits the budget,
+    # so the search keeps its first one
+    rng = np.random.default_rng(0)
+    points = rng.uniform(size=(100, 3))
+    data = Dataset(points[rng.integers(0, 100, size=50_000)])
+    result = build_covering_hash(data, HashCoveringConfig(k=8, budget=128, seed=0))
+    assert covering_ok(data.coords, result.subset, result.radius_bound)
+    assert result.size <= 128 and result.iterations == 1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: below the coordinates' float resolution (x + shift) / side "
+    "merges distinct cells, and only a certified radius would catch it"))
+@pytest.mark.parametrize("seed", range(3))
+def test_clusters_below_float_resolution_stay_sound(seed):
+    # four clusters in a 1e-4 box at offset 1e9, where the float spacing is
+    # 1.2e-7: the first scale's cells are narrower than that spacing
+    rng = np.random.default_rng(seed)
+    centers = 1e9 + rng.uniform(0.0, 1e-4, size=(4, 2))
+    coords = centers[rng.integers(0, 4, size=4000)] + rng.normal(scale=1e-7, size=(4000, 2))
+    result = build_covering_hash(Dataset(coords), HashCoveringConfig(k=4, budget=100, seed=seed))
+    assert covering_ok(coords, result.subset, result.radius_bound)
 
 
 @pytest.mark.parametrize("budget", [300, 301])
