@@ -17,12 +17,14 @@ from kcover.core import Dataset
 from kcover.covering import (
     HashCoveringConfig,
     build_covering_hash,
+    count_cells_intersecting_ball,
+    eval_hash_batch,
     merge_coverings,
     reduce_covering,
+    sample_hash,
 )
 from kcover.datasets import SyntheticSpec, generate_synthetic
 from kcover.experiment import REPORT_COLUMNS, TIMING_COLUMNS, emit_report, run_sweep
-from kcover.gridhash import count_cells_intersecting_ball, eval_hash_batch, sample_hash
 from kcover.sampling import SampleCoveringConfig, build_covering_sample, run_sampling_rounds
 from kcover.solver import evaluate_on_full, gonzalez
 

@@ -18,8 +18,8 @@ from kcover.core import (
     sorted_distinct,
     sq_dists_to_point,
 )
+from kcover.covering import eval_hash_batch, sample_hash
 from kcover.datasets import SyntheticSpec, generate_synthetic
-from kcover.gridhash import eval_hash_batch, sample_hash
 from kcover.neighbor import ExactOracle
 from kcover.solver import evaluate_on_full, gonzalez
 

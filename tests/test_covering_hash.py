@@ -8,10 +8,11 @@ from kcover.core import Dataset, column_extents, first_occurrences
 from kcover.covering import (
     HashCoveringConfig,
     build_covering_hash,
+    eval_hash_batch,
+    sample_hash,
     uniform_baseline,
 )
 from kcover.datasets import SyntheticSpec, generate_synthetic
-from kcover.gridhash import eval_hash_batch, sample_hash
 from kcover.solver import evaluate_on_full, gonzalez
 
 from conftest import covering_ok, t_beta_bound

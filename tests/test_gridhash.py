@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kcover.gridhash import (
+from kcover.covering import (
     GridHash,
     count_cells_intersecting_ball,
     eval_hash_batch,

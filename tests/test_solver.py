@@ -4,12 +4,12 @@ import pytest
 from kcover.core import Dataset
 from kcover.covering import (
     CoveringResult,
+    GridHash,
     HashCoveringConfig,
     build_covering_hash,
     merge_coverings,
     reduce_covering,
 )
-from kcover.gridhash import GridHash
 from kcover.solver import CenterSolution, evaluate_on_full, gonzalez
 
 from conftest import covering_ok, exhaustive_discrete_opt, max_min_dist

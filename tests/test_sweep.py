@@ -14,10 +14,10 @@ from kcover.datasets import SyntheticSpec, generate_synthetic
 from kcover.covering import (
     HashCoveringConfig,
     build_covering_hash,
+    eval_hash_batch,
     scale_anchor,
     sweep_scales,
 )
-from kcover.gridhash import eval_hash_batch
 from kcover.sampling import SampleCoveringConfig, build_covering_sample
 
 from conftest import ascending_scales, covering_ok, exhaustive_discrete_opt
