@@ -16,13 +16,12 @@ search tries a scale below its start.
 
 The grid-hash step hashes the points into a grid at scale tau, with a
 fresh random shift at every scale, and keeps one representative per
-occupied cell. A grid at scale L has axis-aligned cubic cells of side
-L / sqrt(d), so any two points in one cell are within L of each other; the
-shift is uniform per axis on [0, side), so a ball of radius r meets a
-random number of cells with mean 1 + 2r / side per axis. A scale fits when
-its cell count is at most an explicit size budget, so the radius bound is
-the cell diameter tau; this mirrors how the construction is run when a
-target coreset size is known.
+occupied cell. Its cells are cubes of side tau / sqrt(d), so two points in
+one cell are within tau of each other, and they are counted from the data's
+column minimum, so their float resolution follows the data's spread. A
+scale fits when its cell count is at most an explicit size budget, so the
+radius bound is the cell diameter tau; this mirrors how the construction
+is run when a target coreset size is known.
 
 Coverings compose: merge_coverings covers the concatenation of two shards
 at the larger of their radii, and reduce_covering re-covers a covering's
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -62,8 +61,7 @@ _BUDGET_EXTRA_DOUBLINGS = 64
 _BISECTIONS = 2
 # the anchor's greedy runs on a sample of at least this many rows (and 4k)
 _ANCHOR_ROWS = 1000
-# count_cells_intersecting_ball enumerates an integer box; above this many
-# cells it refuses
+# count_cells_intersecting_ball refuses to enumerate more cells than this
 _MAX_ENUMERATION = 1 << 24
 
 
@@ -78,14 +76,18 @@ def _cell_side(dim: int, scale: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GridHash:
-    """One realized grid: dimension, scale, shift, and the derived cell side."""
+    """One realized grid. Cell c of an axis spans corner + [c, c + 1) * side,
+    with corner = origin - shift; build_covering_hash puts the origin at the
+    data's column minimum, and a grid built directly has it at 0."""
 
     dim: int
     scale: float
     shift: np.ndarray
+    origin: InitVar[np.ndarray | float] = 0.0
     side: float = field(init=False)
+    corner: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, origin):
         side = _cell_side(self.dim, self.scale)
         object.__setattr__(self, "scale", float(self.scale))
         shift = np.asarray(self.shift, dtype=np.float64).ravel()
@@ -93,19 +95,24 @@ class GridHash:
             raise ValueError("shift must have one coordinate per axis")
         if shift.min() < 0 or shift.max() >= side:
             raise ValueError("shift coordinates must lie in [0, side)")
-        shift.setflags(write=False)
-        object.__setattr__(self, "shift", shift)
+        # within ulp(origin) of the exact corner: the shift rounds away only
+        # where cells are finer than the float spacing at the origin
+        corner = np.asarray(origin, dtype=np.float64) - shift
+        for name, value in (("shift", shift), ("corner", corner)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "side", side)
 
 
-def sample_hash(dim: int, scale: float, seed: int, stream: int = 0) -> GridHash:
+def sample_hash(dim: int, scale: float, seed: int, stream: int = 0,
+                origin=0.0) -> GridHash:
     """Draw a fresh shifted grid; `stream` separates repeated draws per seed."""
     side = _cell_side(dim, scale)
     rng = rng_stream(seed, STREAM_GRID_SHIFT, stream)
     shift = rng.uniform(0.0, side, size=dim)
     # uniform(0, side) can round to side itself in rare cases; fold back
     shift[shift >= side] = 0.0
-    return GridHash(dim=dim, scale=scale, shift=shift)
+    return GridHash(dim=dim, scale=scale, shift=shift, origin=origin)
 
 
 @contextmanager
@@ -124,13 +131,13 @@ def _int64_cells(h: GridHash):
 
 
 def eval_hash_batch(h: GridHash, points) -> np.ndarray:
-    """Cells of the rows: per-axis floor((x + shift) / side), an (n, dim) int64 array."""
+    """Cells of the rows: per-axis floor((x - corner) / side), an (n, dim) int64 array."""
     coords = np.asarray(points, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != h.dim:
         raise ValueError("points must be an (n, dim) array matching the grid")
-    # shift, scale and floor in one buffer, so a full pass holds a single
+    # translate, scale and floor in one buffer, so a full pass holds a single
     # (n, dim) float temporary next to the cells
-    cells = np.add(coords, h.shift)
+    cells = np.subtract(coords, h.corner)
     np.divide(cells, h.side, out=cells)
     np.floor(cells, out=cells)
     with _int64_cells(h):
@@ -153,7 +160,7 @@ def count_cells_intersecting_ball(h: GridHash, center, radius: float) -> int:
         raise ValueError("center dimension does not match the grid")
 
     # work in cell units: point y sits in cell floor(y)
-    y = (c + h.shift) / h.side
+    y = (c - h.corner) / h.side
     r = radius / h.side
     if r == 0:
         return 1
@@ -177,12 +184,12 @@ def count_cells_intersecting_ball(h: GridHash, center, radius: float) -> int:
 class CoveringResult:
     """Row subset plus the radius within which it covers the dataset.
 
-    sizes holds one entry per scale the sweep inspected, each an exact count
-    of the distinct cells of the rows it hashed. An accepted grid scale
-    records its occupied cell count. A rejected one records the count of a
-    full pass or, when a fixed row subsample already exceeded the budget,
-    the subsample's count: a lower bound on the occupied cells only because
-    it counts a subsample.
+    sizes holds one entry per scale the sweep inspected. A grid scale
+    records the exact count of distinct cells of the rows it hashed: the
+    full pass or, where a fixed row subsample already exceeded the budget,
+    that subsample. An accepted sampling scale records the size of its
+    batches' union, a failed one the sum of its rounds' distinct batch
+    sizes, which counts a row drawn in two rounds twice.
     """
 
     subset: np.ndarray
@@ -265,12 +272,13 @@ def scale_anchor(dataset: Dataset, k: int, seed: int) -> float:
 
 
 def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float,
-                 budget: int | None = None) -> CoveringResult:
+                 budget: int | None = None, extents=None) -> CoveringResult:
     """Scale search shared by every covering construction.
 
     step(i, tau) tries the i-th scale and returns (size, subset or None); a
     subset means the scale is accepted, with radius bound radius_factor * tau.
-    Every tried scale's size goes into sizes.
+    Every tried scale's size goes into sizes. extents, when given, are
+    column_extents(dataset.coords).
 
     The search starts from the certified anchor L = scale_anchor. When L is 0
     (the anchor sample holds at most k distinct rows), the exact-duplicate
@@ -281,17 +289,17 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
     Without a budget (the sample construction), tau doubles from L until a
     scale accepts or the radius bound reaches the bounding-box diagonal.
     With one, tau starts at tau0 = L * min(1, k / budget), or at
-    2**-61 * sqrt(d) * max|x| if that is larger, so that no cell index
-    outgrows int64, and doubles until a scale fits, up to
-    _BUDGET_EXTRA_DOUBLINGS past the scale at which one grid cell can hold
-    the whole spread. A first scale that fits is kept; at tau0 its radius
+    2**-61 * sqrt(d) * spread if that is larger, so that no cell index of a
+    grid in the data's frame outgrows int64, and doubles until a scale fits,
+    up to _BUDGET_EXTRA_DOUBLINGS past the scale at which one grid cell can
+    hold the whole spread. A first scale that fits is kept; at tau0 its radius
     bound is at most a fraction min(1, k / budget) of the optimum, as L <= opt.
     Otherwise _BISECTIONS geometric bisection steps between the last scale
     that did not fit and the first that did keep each midpoint that fits.
     No scale below the start is tried.
     """
     coords = dataset.coords
-    low, high = column_extents(coords)
+    low, high = column_extents(coords) if extents is None else extents
     extent = high - low
     spread = float(extent.max())
     sizes: list[int] = []
@@ -322,10 +330,10 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
         # where the radius bound reaches the bounding-box diagonal
         top = float(np.sqrt((extent**2).sum())) / radius_factor
     else:
-        # from 2**-61 sqrt(d) max|x| up, |x| / side stays below 2**61
-        largest = max(-float(low.min()), float(high.max()))
+        # from 2**-61 sqrt(d) spread up, a row's offset from a grid corner
+        # in the data's frame stays below 2**61 + 1 cell sides
         tau = max(anchor * min(1.0, k / budget),
-                  2.0**-61 * math.sqrt(dataset.d) * largest)
+                  2.0**-61 * math.sqrt(dataset.d) * spread)
         # one cell can hold the whole spread from scale 2 d**1.5 spread on,
         # and a few fresh shifts past it succeed with overwhelming probability
         top = 2.0 * dataset.d ** 1.5 * spread * 2.0**_BUDGET_EXTRA_DOUBLINGS
@@ -350,7 +358,7 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
 
 
 def build_covering_hash(dataset: Dataset, cfg: HashCoveringConfig) -> CoveringResult:
-    """Grid-hash covering with a fresh random shift at every scale."""
+    """Grid-hash covering: a fresh random shift per scale, in the data's frame."""
     n, d = dataset.n, dataset.d
     if not 1 <= cfg.k <= n:
         raise ValueError("k must lie in [1, n]")
@@ -371,15 +379,17 @@ def build_covering_hash(dataset: Dataset, cfg: HashCoveringConfig) -> CoveringRe
             n, size=sample_cap, replace=False)
         filter_coords = dataset.coords[filter_rows]
 
+    extents = column_extents(dataset.coords)
+
     def step(i: int, tau: float):
-        h = sample_hash(d, tau, cfg.seed, stream=i)
+        h = sample_hash(d, tau, cfg.seed, stream=i, origin=extents[0])
         if filter_coords is not None:
             sub_count = first_occurrences(eval_hash_batch(h, filter_coords), budget)[0]
             if sub_count > budget:
                 return sub_count, None
         return first_occurrences(eval_hash_batch(h, dataset.coords), budget)
 
-    return sweep_scales(dataset, cfg.k, cfg.seed, step, 1.0, budget=budget)
+    return sweep_scales(dataset, cfg.k, cfg.seed, step, 1.0, budget=budget, extents=extents)
 
 
 def uniform_baseline(dataset: Dataset, size: int, seed: int) -> np.ndarray:

@@ -247,3 +247,20 @@ def test_shift_invariance_of_cell_counts():
         base.append(count_cells_intersecting_ball(h, [0.2], r))
         moved.append(count_cells_intersecting_ball(h, [0.2 + translation], r))
     assert np.mean(moved) == pytest.approx(np.mean(base), rel=0.05)
+
+
+def test_origin_moves_the_grid_with_the_frame():
+    # dyadic points, shift and origin keep every step exact, so a grid whose
+    # origin is o sees the points x + o exactly as the default grid sees x
+    rng = np.random.default_rng(3)
+    points = rng.integers(-64, 64, size=(200, 2)) / 8.0
+    shift = np.array([0.25, 0.625])
+    origin = np.array([1024.0, -512.0])
+    plain = GridHash(2, math.sqrt(2.0), shift)  # side 1
+    moved = GridHash(2, math.sqrt(2.0), shift, origin=origin)
+    assert plain.corner.tolist() == (-shift).tolist()
+    assert (eval_hash_batch(moved, points + origin).tolist()
+            == eval_hash_batch(plain, points).tolist())
+    for center, r in (([0.3, -1.1], 0.0), ([0.3, -1.1], 1.7), ([2.0, 2.0], 0.5)):
+        assert (count_cells_intersecting_ball(moved, np.add(center, origin), r)
+                == count_cells_intersecting_ball(plain, center, r))

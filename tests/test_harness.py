@@ -464,15 +464,15 @@ def test_cli_installed_entry_point(tmp_path):
 # carry radiusBound, tauUsed, iterations and sizes, the uniform one
 # a null radiusBound
 PINNED_CORESETS = {
-    "hash": "9126cd913fcb7e4bb2ebcb56d90e33036722d65a42c0a7cf5c79b3f61041318b",
+    "hash": "e10b3adf43ce0a0da2cf451b22d90594bbc5121d71a71f5b825586e07a65544f",
     "sample": "ed368fc958e98e94b4148d68c5d050ce2c1c4590eb9a00efa5198bf7efd76c1a",
     "uniform": "2c3eea3e89110f64a2d68c866f0ffe87746820e46216341d64678b08f4038358",
 }
 # sha256 of run_sweep's CSV and JSON without the timing columns: all four
 # methods on planted(n=150, d=4, k=3, seed=13), budgets 8, 32 and one of n
 # or more, two trials, seed 5
-PINNED_SWEEP = ("60400aba487bcf13600d13bfc9a47a1243d4337b93730974019b4d290e2bd898",
-                "caf1a39995f9af958416e24b79abbb648b8474f37726333416905bf167022f24")
+PINNED_SWEEP = ("0282b4b6ec442068ad2ad69cd9f1951e1f19597addedadf01e73a5c4bc14e36e",
+                "445f89756bb2279fb81acc0ca87db7cbfd711b28b4dc42764e78636fb94b43c6")
 
 
 def digest(text):

@@ -19,6 +19,7 @@ from kcover.covering import (
     sweep_scales,
 )
 from kcover.sampling import SampleCoveringConfig, build_covering_sample
+from kcover.solver import evaluate_on_full, gonzalez
 
 from conftest import ascending_scales, covering_ok, exhaustive_discrete_opt
 
@@ -39,17 +40,17 @@ BUILDS = {
 }
 
 # (subset, radius_bound, tau_used, iterations, sizes), recorded when the
-# sweep moved to the certified anchor (coverings changed then on purpose)
+# grid moved to the data's frame (coverings changed then on purpose)
 PINNED = {
     ("clusters", "hash-budget"): (
-        [0, 1, 2, 3, 4, 5, 7, 18, 21, 25],
-        6.0118196360582825, 6.0118196360582825, 6, (33, 24, 16, 7, 13, 10)),
+        [0, 1, 2, 3, 12, 18, 21, 26],
+        7.149298685313578, 7.149298685313578, 6, (32, 26, 13, 8, 12, 11)),
     ("clusters", "sample"): (
         [39],
         84.0889480280295, 21.022237007007377, 1, (1,)),
     ("box", "hash-budget"): (
-        [0, 1, 2, 3, 7, 18, 24, 28],
-        11.025482360843949, 11.025482360843949, 7, (36, 34, 23, 11, 8, 7, 8)),
+        [0, 1, 2, 3, 4, 6, 7, 11],
+        9.271288593676738, 9.271288593676738, 6, (36, 33, 23, 8, 14, 16)),
     ("box", "sample"): (
         [35],
         12.547238069469616, 3.136809517367404, 1, (1,)),
@@ -66,14 +67,14 @@ def test_coverings_match_pinned_values(instance, method):
 
 # (size, sha256 of the subset as little-endian int64, radius_bound, tau_used,
 # sizes) on 20k normal rows in d = 2 at budget 500: the subsample filter
-# runs (2 * 500 + 2048 < 20k rows) and the full passes at 665 and 507 cells
-# are rejected
+# runs (2 * 500 + 2048 < 20k rows) and the full pass at 670 cells is
+# rejected
 FILTERED_BUDGET = 500
 FILTERED_PINNED = {
     "hash-budget": (
-        374, "6152c1bec8153d44d20619d69165fef973ec266ca31855108b10a2ba704b19ad",
-        0.4684618777142408, 0.4684618777142408,
-        (2999, 2906, 2513, 1665, 734, 374, 665, 507)),
+        500, "6103abdf64caf323661f5a111cdc069762ee3c52949104b6d1a171220eca1eae",
+        0.3939279136529291, 0.3939279136529291,
+        (3007, 2894, 2529, 1650, 738, 375, 670, 500)),
 }
 
 
@@ -163,8 +164,9 @@ BOX = instances()["box"]
 
 def budget_start(data, k, seed, budget):
     """The budgeted search's first scale: the anchor times min(1, k / budget),
-    raised to 2**-61 sqrt(d) max|x| so that cell indices stay in int64."""
-    floor = 2.0**-61 * math.sqrt(data.d) * np.abs(data.coords).max()
+    raised to 2**-61 sqrt(d) spread so that cell indices stay in int64."""
+    spread = (data.coords.max(axis=0) - data.coords.min(axis=0)).max()
+    floor = 2.0**-61 * math.sqrt(data.d) * spread
     return max(scale_anchor(data, k, seed) * min(1.0, k / budget), floor)
 
 
@@ -218,7 +220,7 @@ def edge_instance(name, seed):
         # two tight clusters, one on the origin: a grid whose cell boundaries
         # always pass through the origin splits the first at every scale. At
         # spreads of 1e-9 and 1e-12 the anchor times k / budget lies below
-        # 2**-61 sqrt(d) max|x|, where the far cluster's cell indices would
+        # 2**-61 sqrt(d) spread, where the far cluster's cell indices would
         # overflow int64.
         spread = {"origin-pair": 1e-3, "origin-pair-1e-9": 1e-9, "origin-pair-1e-12": 1e-12}
         coords = rng.normal(scale=spread[name], size=(1000, 4))
@@ -231,6 +233,13 @@ def edge_instance(name, seed):
         return Dataset(rng.normal(scale=10.0, size=(300, 1))), 4
     if name == "k-equals-n":
         return Dataset(rng.normal(size=(40, 2))), 40
+    if name == "far-offset":
+        # four clusters in a 1e-4 box at offset 1e9, where the float spacing
+        # is 1.2e-7: finer than that, a grid hashing (x + shift) / side on
+        # the raw coordinates merged distinct cells
+        centers = 1e9 + rng.uniform(0.0, 1e-4, size=(4, 2))
+        return Dataset(centers[rng.integers(0, 4, size=4000)]
+                       + rng.normal(scale=1e-7, size=(4000, 2))), 4
     if name == "duplicate-heavy":
         # one row 99992 times and 8 outliers: 9 distinct rows, one more than
         # the budget 8k, so the budget builds cannot keep the collapse
@@ -300,9 +309,6 @@ def test_duplicate_heavy_rows_take_one_scale():
     assert result.size <= 128 and result.iterations == 1
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 3: below the coordinates' float resolution (x + shift) / side "
-    "merges distinct cells, and only a certified radius would catch it"))
 @pytest.mark.parametrize("seed", range(3))
 def test_clusters_below_float_resolution_stay_sound(seed):
     # four clusters in a 1e-4 box at offset 1e9, where the float spacing is
@@ -312,6 +318,27 @@ def test_clusters_below_float_resolution_stay_sound(seed):
     coords = centers[rng.integers(0, 4, size=4000)] + rng.normal(scale=1e-7, size=(4000, 2))
     result = build_covering_hash(Dataset(coords), HashCoveringConfig(k=4, budget=100, seed=seed))
     assert covering_ok(coords, result.subset, result.radius_bound)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("method", sorted(EDGE_BUILDS))
+@pytest.mark.parametrize("instance", ["d1", "k-equals-n", "offset-1e8", "duplicate-heavy",
+                                      "centered-d8", "origin-pair", "origin-pair-1e-9",
+                                      "origin-pair-1e-12", "planted-10k", "far-offset"])
+def test_coreset_solution_keeps_the_additive_slack(instance, method, seed):
+    # every row lies within radius_bound of a coreset row, which lies within
+    # the coreset cost of a center: the full cost exceeds the cost on the
+    # coreset by at most the covering's bound, run by run
+    data, k = edge_instance(instance, seed)
+    if instance == "far-offset" and method == "hash-budget":
+        # at budget 100 the raw-coordinate grid accepted cells finer than the
+        # float spacing, and seed 0 broke the slack: 6.95e-7 > 6.74e-7 + 1.22e-8
+        result = build_covering_hash(data, HashCoveringConfig(k=k, budget=100, seed=seed))
+    else:
+        result = EDGE_BUILDS[method](data, k, seed)
+    sol = gonzalez(data.take(result.subset), k)
+    full = evaluate_on_full(data, result.subset, sol)
+    assert full <= (sol.cost_on_solve_set + result.radius_bound) * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("budget", [300, 301])
