@@ -235,8 +235,8 @@ def edge_instance(name, seed):
         return Dataset(rng.normal(size=(40, 2))), 40
     if name == "far-offset":
         # four clusters in a 1e-4 box at offset 1e9, where the float spacing
-        # is 1.2e-7: finer than that, a grid hashing (x + shift) / side on
-        # the raw coordinates merged distinct cells
+        # is 1.2e-7: a grid indexed from 0 rather than from the data would
+        # merge distinct cells below that scale
         centers = 1e9 + rng.uniform(0.0, 1e-4, size=(4, 2))
         return Dataset(centers[rng.integers(0, 4, size=4000)]
                        + rng.normal(scale=1e-7, size=(4000, 2))), 4
@@ -331,8 +331,7 @@ def test_coreset_solution_keeps_the_additive_slack(instance, method, seed):
     # coreset by at most the covering's bound, run by run
     data, k = edge_instance(instance, seed)
     if instance == "far-offset" and method == "hash-budget":
-        # at budget 100 the raw-coordinate grid accepted cells finer than the
-        # float spacing, and seed 0 broke the slack: 6.95e-7 > 6.74e-7 + 1.22e-8
+        # budget 100 tries cells finer than the float spacing at 1e9
         result = build_covering_hash(data, HashCoveringConfig(k=k, budget=100, seed=seed))
     else:
         result = EDGE_BUILDS[method](data, k, seed)
