@@ -1,10 +1,14 @@
 """Coresets for Euclidean k-center built from grid hashing and sampling.
 
-The package provides a covering-based reduction: build a small row subset
-within a known radius of every point (via randomly shifted grids or via
-sampling rounds), solve k-center on the subset with the greedy 2-approximate
-solver, and carry the covering radius as additive slack back to the full
-set. An experiment harness compares the pipelines against full-data solving.
+Build a small row subset within a known radius of every point (randomly
+shifted grids or sampling rounds), solve k-center on it with the greedy
+2-approximate solver, and carry the covering radius back as additive slack.
+Its 18 names: Dataset, SyntheticSpec, generate_synthetic, load_csv,
+CsvFormatError, HashCoveringConfig, build_covering_hash, SampleCoveringConfig,
+build_covering_sample, CoveringResult, merge_coverings, reduce_covering,
+ConstructionFailedError, ExactOracle, gonzalez, CenterSolution,
+evaluate_on_full and cost. The sweep harness (run_sweep, ExperimentReport,
+emit_report) is kcover.experiment; uniform_baseline is in kcover.covering.
 """
 
 from .core import ConstructionFailedError, Dataset, cost
@@ -14,10 +18,8 @@ from .covering import (
     build_covering_hash,
     merge_coverings,
     reduce_covering,
-    uniform_baseline,
 )
 from .datasets import CsvFormatError, SyntheticSpec, generate_synthetic, load_csv
-from .experiment import ExperimentReport, emit_report, run_sweep
 from .neighbor import ExactOracle
 from .sampling import SampleCoveringConfig, build_covering_sample
 from .solver import CenterSolution, evaluate_on_full, gonzalez
@@ -31,20 +33,16 @@ __all__ = [
     "CsvFormatError",
     "Dataset",
     "ExactOracle",
-    "ExperimentReport",
     "HashCoveringConfig",
     "SampleCoveringConfig",
     "SyntheticSpec",
     "build_covering_hash",
     "build_covering_sample",
     "cost",
-    "emit_report",
     "evaluate_on_full",
     "generate_synthetic",
     "gonzalez",
     "load_csv",
     "merge_coverings",
     "reduce_covering",
-    "run_sweep",
-    "uniform_baseline",
 ]

@@ -340,7 +340,8 @@ def _screen_frame(members: np.ndarray):
     from B (a few u).
     """
     d = members.shape[1]
-    origin = members.min(axis=0) * 0.5 + members.max(axis=0) * 0.5
+    low, high = column_extents(members)
+    origin = low * 0.5 + high * 0.5
     centered = members - origin
     cc = np.einsum("ij,ij->i", centered, centered)
     # points carry a trailing 1 so that the GEMM also adds |c|^2
@@ -381,8 +382,8 @@ def _nearest_sq(points: np.ndarray, members: np.ndarray):
     """
     n, d = points.shape
     m = members.shape[0]
-    best = np.empty(n)
-    arg = np.empty(n, dtype=np.int64)
+    best = np.full(n, np.inf)
+    arg = np.zeros(n, dtype=np.int64)
     chunk = max(1, min(m, _BLOCK_ELEMS // d))
     step = max(1, min(n, _BLOCK_ELEMS // (chunk * d)))
     for s in range(0, n, step):
@@ -391,13 +392,9 @@ def _nearest_sq(points: np.ndarray, members: np.ndarray):
             exact = _exact_sq(x, members[start:start + chunk])
             pos = exact.argmin(axis=1)
             near = exact[np.arange(x.shape[0]), pos]
-            if start:
-                better = near < best[s:s + step]
-                best[s:s + step][better] = near[better]
-                arg[s:s + step][better] = pos[better] + start
-            else:
-                best[s:s + step] = near
-                arg[s:s + step] = pos
+            better = near < best[s:s + step]
+            best[s:s + step][better] = near[better]
+            arg[s:s + step][better] = pos[better] + start
     return arg, best
 
 

@@ -187,9 +187,8 @@ class CoveringResult:
     sizes holds one entry per scale the sweep inspected. A grid scale
     records the exact count of distinct cells of the rows it hashed: the
     full pass or, where a fixed row subsample already exceeded the budget,
-    that subsample. An accepted sampling scale records the size of its
-    batches' union, a failed one the sum of its rounds' distinct batch
-    sizes, which counts a row drawn in two rounds twice.
+    that subsample. A sampling scale records the distinct rows its rounds
+    drew, accepted or not.
     """
 
     subset: np.ndarray

@@ -66,24 +66,24 @@ def run_sampling_rounds(dataset: Dataset, tau: float, cfg: SampleCoveringConfig,
                         tau_index: int = 0):
     """Inner loop at one fixed tau.
 
-    Returns (subset or None, accumulated sample count); None means the pool
-    did not empty within the round budget at this tau.
+    Returns (union of the batches or None, number of distinct rows the
+    batches drew); None means the pool did not empty within the round
+    budget at this tau.
     """
     n = dataset.n
     m = _batch_size(n, cfg.k, cfg.sample_constant)
     removal_radius = _RADIUS_FACTOR * tau
     pool = np.arange(n, dtype=np.int64)
     batches = []
-    total = 0
     for j in range(_round_budget(n)):
         batch = sample_with_replacement(pool, m, cfg.seed, stream=(tau_index, j))
         batches.append(batch)
-        total += batch.shape[0]
         oracle = build_oracle(dataset, batch)
         pool = pool[oracle.farther_than(dataset.coords[pool], removal_radius)]
         if pool.size == 0:
-            return sorted_distinct(np.concatenate(batches)), total
-    return None, total
+            break
+    union = sorted_distinct(np.concatenate(batches))
+    return (None if pool.size else union), union.shape[0]
 
 
 def build_covering_sample(dataset: Dataset, cfg: SampleCoveringConfig) -> CoveringResult:
@@ -94,7 +94,7 @@ def build_covering_sample(dataset: Dataset, cfg: SampleCoveringConfig) -> Coveri
         raise ValueError("sample_constant must be positive")
 
     def step(i: int, tau: float):
-        subset, total = run_sampling_rounds(dataset, tau, cfg, tau_index=i + 1)
-        return (total, None) if subset is None else (subset.shape[0], subset)
+        subset, size = run_sampling_rounds(dataset, tau, cfg, tau_index=i + 1)
+        return size, subset
 
     return sweep_scales(dataset, cfg.k, cfg.seed, step, _RADIUS_FACTOR)

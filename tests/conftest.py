@@ -3,10 +3,19 @@
 Everything here is deliberately naive: these functions are the ground truth
 the package is checked against, so they must be obviously correct rather
 than fast.
+
+Tier-1 runs numpy's BLAS on one thread, as perfbench/run.py does: the
+wall-clock gate test_c09_speedup_at_desk_scale compares two timings, and
+BLAS threads contending with another busy process on a small host skew
+them. The variables are set before numpy loads, and only where unset.
 """
 
 import math
+import os
 from itertools import combinations
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 

@@ -59,19 +59,39 @@ def test_sample_matches_unique_of_the_draws():
         assert out.tolist() == np.unique(pool[draws]).tolist()
 
 
-def test_round_union_matches_unique_of_the_batches(monkeypatch):
-    batches = []
+@pytest.fixture
+def batches(monkeypatch):
+    """The batches run_sampling_rounds draws, in order."""
+    drawn = []
 
     def recording(*args, **kwargs):
-        batches.append(sample_with_replacement(*args, **kwargs))
-        return batches[-1]
+        drawn.append(sample_with_replacement(*args, **kwargs))
+        return drawn[-1]
 
     monkeypatch.setattr(sampling, "sample_with_replacement", recording)
+    return drawn
+
+
+def test_round_union_matches_unique_of_the_batches(batches):
     data = Dataset(np.random.default_rng(5).uniform(size=(300, 2)))
     cfg = SampleCoveringConfig(k=4, sample_constant=0.5, seed=2)
-    subset, _ = run_sampling_rounds(data, 0.05, cfg)
+    subset, size = run_sampling_rounds(data, 0.05, cfg)
     assert subset is not None and len(batches) > 1
     assert subset.tolist() == np.unique(np.concatenate(batches)).tolist()
+    assert size == subset.shape[0]
+
+
+def test_failed_scale_size_counts_the_distinct_rows_drawn(batches):
+    # at a tau far below the cost a round removes only its own batch, and 60
+    # rounds of at most 49 rows cannot empty a pool of 3000 distinct rows
+    data = Dataset(np.random.default_rng(6).uniform(size=(3000, 2)))
+    cfg = SampleCoveringConfig(k=2, seed=4)
+    subset, size = run_sampling_rounds(data, 1e-9, cfg)
+    assert subset is None and len(batches) == round_budget(3000)
+    assert size == np.unique(np.concatenate(batches)).size
+    # every batch member is within 0 of itself, so it leaves the pool and no
+    # later round draws it again: the batches are disjoint
+    assert size == sum(b.size for b in batches)
 
 
 def test_sample_rejects_bad_input():
