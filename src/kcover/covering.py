@@ -31,8 +31,7 @@ rows at the sum of the two radii.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,66 +64,60 @@ _ANCHOR_ROWS = 1000
 _MAX_ENUMERATION = 1 << 24
 
 
-def _cell_side(dim: int, scale: float) -> float:
-    """Cell side scale / sqrt(dim), after checking both arguments."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValueError("scale must be positive and finite")
-    return scale / math.sqrt(dim)
-
-
 @dataclass(frozen=True, eq=False)
 class GridHash:
-    """One realized grid. Cell c of an axis spans corner + [c, c + 1) * side,
-    with corner = origin - shift; build_covering_hash puts the origin at the
-    data's column minimum, and a grid built directly has it at 0."""
+    """One realized grid: cubes of side scale / sqrt(dim), so of diagonal scale.
+
+    A point x lies in cell floor((x - corner) / side). The cell's closed
+    cuboid spans corner + [c, c + 1] * side per axis, and
+    count_cells_intersecting_ball counts a cuboid that touches the ball only
+    on a face. sample_hash draws the corner.
+    """
 
     dim: int
     scale: float
-    shift: np.ndarray
-    origin: InitVar[np.ndarray | float] = 0.0
+    corner: np.ndarray
     side: float = field(init=False)
-    corner: np.ndarray = field(init=False)
 
-    def __post_init__(self, origin):
-        side = _cell_side(self.dim, self.scale)
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        if not (self.scale > 0 and math.isfinite(self.scale)):
+            raise ValueError("scale must be positive and finite")
+        corner = np.array(self.corner, dtype=np.float64).ravel()
+        if corner.shape[0] != self.dim or not np.isfinite(corner).all():
+            raise ValueError("corner must hold one finite coordinate per axis")
+        corner.setflags(write=False)
         object.__setattr__(self, "scale", float(self.scale))
-        shift = np.asarray(self.shift, dtype=np.float64).ravel()
-        if shift.shape[0] != self.dim:
-            raise ValueError("shift must have one coordinate per axis")
-        if shift.min() < 0 or shift.max() >= side:
-            raise ValueError("shift coordinates must lie in [0, side)")
-        # within ulp(origin) of the exact corner: the shift rounds away only
-        # where cells are finer than the float spacing at the origin
-        corner = np.asarray(origin, dtype=np.float64) - shift
-        for name, value in (("shift", shift), ("corner", corner)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "corner", corner)
+        object.__setattr__(self, "side", self.scale / math.sqrt(self.dim))
 
 
 def sample_hash(dim: int, scale: float, seed: int, stream: int = 0,
                 origin=0.0) -> GridHash:
-    """Draw a fresh shifted grid; `stream` separates repeated draws per seed."""
-    side = _cell_side(dim, scale)
-    rng = rng_stream(seed, STREAM_GRID_SHIFT, stream)
-    shift = rng.uniform(0.0, side, size=dim)
+    """Grid at corner origin - shift, with shift uniform in [0, side) per axis.
+
+    `stream` separates repeated draws per seed; build_covering_hash puts the
+    origin at the data's column minimum.
+    """
+    grid = GridHash(dim, scale, np.broadcast_to(origin, dim))
+    shift = rng_stream(seed, STREAM_GRID_SHIFT, stream).uniform(0.0, grid.side, size=dim)
     # uniform(0, side) can round to side itself in rare cases; fold back
-    shift[shift >= side] = 0.0
-    return GridHash(dim=dim, scale=scale, shift=shift, origin=origin)
+    shift[shift >= grid.side] = 0.0
+    # within ulp(origin) of the exact corner: the shift rounds away only
+    # where cells are finer than the float spacing at the origin
+    return replace(grid, corner=grid.corner - shift)
 
 
-@contextmanager
-def _int64_cells(h: GridHash):
-    """Turn an int64 overflow in the cell-index cast into a ValueError.
+def _int64_cells(h: GridHash, cells: np.ndarray) -> np.ndarray:
+    """Floored cell coordinates cast to int64, with overflow a ValueError.
 
     Without the check the cast maps every out-of-range index to -2**63,
     which silently puts far-apart points in one cell.
     """
     with np.errstate(invalid="raise"):
         try:
-            yield
+            return cells.astype(np.int64)
         except FloatingPointError:
             raise ValueError(
                 f"cell indices overflow int64 at scale {h.scale:g}") from None
@@ -140,16 +133,17 @@ def eval_hash_batch(h: GridHash, points) -> np.ndarray:
     cells = np.subtract(coords, h.corner)
     np.divide(cells, h.side, out=cells)
     np.floor(cells, out=cells)
-    with _int64_cells(h):
-        return cells.astype(np.int64)
+    return _int64_cells(h, cells)
 
 
 def count_cells_intersecting_ball(h: GridHash, center, radius: float) -> int:
     """Number of grid cells whose closed cuboid meets the closed ball.
 
-    Exact enumeration over the integer bounding box, testing the distance
-    from the ball center to the nearest point of each cell cuboid. Only
-    supported for dim <= 8; the box grows exponentially with dimension.
+    A cuboid that touches the ball only on a face counts, so a ball of
+    radius 0 on the face between two cells meets both. Exact enumeration
+    over the integer bounding box, testing the distance from the ball center
+    to the nearest point of each cell cuboid. Only supported for dim <= 8;
+    the box grows exponentially with dimension.
     """
     if h.dim > 8:
         raise ValueError("cell enumeration is only supported for dim <= 8")
@@ -159,14 +153,12 @@ def count_cells_intersecting_ball(h: GridHash, center, radius: float) -> int:
     if c.shape[0] != h.dim:
         raise ValueError("center dimension does not match the grid")
 
-    # work in cell units: point y sits in cell floor(y)
+    # work in cell units: cell t spans [t, t + 1] and meets [y - r, y + r]
+    # exactly when ceil(y - r) - 1 <= t <= floor(y + r)
     y = (c - h.corner) / h.side
     r = radius / h.side
-    if r == 0:
-        return 1
-    with _int64_cells(h):
-        lo = np.floor(y - r).astype(np.int64)
-        hi = np.floor(y + r).astype(np.int64)
+    lo = _int64_cells(h, np.ceil(y - r)) - 1
+    hi = _int64_cells(h, np.floor(y + r))
     spans = hi - lo + 1
     total = int(np.prod(spans, dtype=np.float64))
     if total > _MAX_ENUMERATION:

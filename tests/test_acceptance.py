@@ -56,7 +56,7 @@ def test_c01_cell_diameter_invariant():
             x = rng.uniform(-5.0 * scale, 5.0 * scale, size=(per_hash, d))
             cells = eval_hash_batch(h, x)
             # second point uniform in the first point's cell
-            low = cells * h.side - h.shift
+            low = h.corner + cells * h.side
             y = low + rng.uniform(0.0, 1.0, size=(per_hash, d)) * h.side
             same = (eval_hash_batch(h, y) == cells).all(axis=1)
             matched += int(same.sum())

@@ -99,6 +99,32 @@ def test_occupied_cells_within_t_beta_bound_at_greedy_scale():
     assert over == 0
 
 
+@pytest.fixture(scope="module")
+def mixture_k200():
+    """gaussian_mixture, n = 20k, d = 20, k = k_planted = 200, with its full greedy cost."""
+    data, _ = generate_synthetic(SyntheticSpec("gaussian_mixture", n=20_000, d=20,
+                                               k_planted=200, seed=20))
+    return data, gonzalez(data, 200).cost_on_solve_set
+
+
+@pytest.mark.parametrize("per_center", [
+    8,
+    pytest.param(4, marks=pytest.mark.xfail(strict=True, reason=(
+        "at budget 4*k, 4 of 8 covering seeds cost 5.4-6.7x the full greedy, "
+        "within the proven additive slack but past 2x"))),
+], ids=["8xk", "4xk"])
+def test_quality_holds_at_small_budgets(mixture_k200, per_center):
+    # every covering seed keeps the coreset solve within 2x the full greedy's cost
+    data, full_cost = mixture_k200
+    ratios = []
+    for seed in range(8):
+        result = build_covering_hash(data, HashCoveringConfig(k=200, budget=per_center * 200,
+                                                              seed=seed))
+        sol = gonzalez(data.take(result.subset), 200)
+        ratios.append(evaluate_on_full(data, result.subset, sol) / full_cost)
+    assert max(ratios) <= 2.0, [round(r, 2) for r in ratios]
+
+
 def test_budget_respected_on_random_instances():
     rng = np.random.default_rng(8)
     for trial in range(10):

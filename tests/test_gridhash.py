@@ -11,14 +11,14 @@ from kcover.covering import (
 )
 
 
-def oracle_count_1d(side: float, shift: float, center: float, r: float) -> int:
+def oracle_count_1d(side: float, corner: float, center: float, r: float) -> int:
     """Independent cell count: scan a generous integer range and test each
-    closed interval [c*side - shift, (c+1)*side - shift] against the ball."""
+    closed interval [corner + c*side, corner + (c+1)*side] against the ball."""
     lo = int(math.floor((center - r) / side)) - 3
     hi = int(math.floor((center + r) / side)) + 3
     hits = 0
     for c in range(lo, hi + 1):
-        a, b = c * side - shift, (c + 1) * side - shift
+        a, b = corner + c * side, corner + (c + 1) * side
         nearest = min(max(center, a), b)
         if abs(nearest - center) <= r:
             hits += 1
@@ -27,14 +27,14 @@ def oracle_count_1d(side: float, shift: float, center: float, r: float) -> int:
 
 def oracle_count_2d(h: GridHash, center, r: float) -> int:
     span = int(math.ceil(r / h.side)) + 2
-    base = [int(math.floor((center[i] + h.shift[i]) / h.side)) for i in range(2)]
+    base = [int(math.floor((center[i] - h.corner[i]) / h.side)) for i in range(2)]
     hits = 0
     for cx in range(base[0] - span, base[0] + span + 1):
         for cy in range(base[1] - span, base[1] + span + 1):
             nearest = []
             for axis, c in ((0, cx), (1, cy)):
-                a = c * h.side - h.shift[axis]
-                b = (c + 1) * h.side - h.shift[axis]
+                a = h.corner[axis] + c * h.side
+                b = h.corner[axis] + (c + 1) * h.side
                 nearest.append(min(max(center[axis], a), b))
             d2 = (nearest[0] - center[0]) ** 2 + (nearest[1] - center[1]) ** 2
             if d2 <= r * r:
@@ -50,10 +50,10 @@ def test_sample_hash_side_values():
 def test_sample_hash_deterministic_and_in_range():
     a = sample_hash(5, 3.0, seed=42)
     b = sample_hash(5, 3.0, seed=42)
-    np.testing.assert_array_equal(a.shift, b.shift)
-    assert a.shift.min() >= 0.0 and a.shift.max() < a.side
+    np.testing.assert_array_equal(a.corner, b.corner)
+    assert -a.corner.max() >= 0.0 and -a.corner.min() < a.side
     c = sample_hash(5, 3.0, seed=42, stream=1)
-    assert not np.array_equal(a.shift, c.shift)
+    assert not np.array_equal(a.corner, c.corner)
 
 
 def test_sample_hash_rejects_bad_scale():
@@ -64,30 +64,32 @@ def test_sample_hash_rejects_bad_scale():
 
 
 def test_gridhash_constructor_validates():
-    assert GridHash(dim=4, scale=2.0, shift=np.zeros(4)).side == 1.0  # scale / sqrt(dim)
+    assert GridHash(dim=4, scale=2.0, corner=np.zeros(4)).side == 1.0  # scale / sqrt(dim)
     with pytest.raises(TypeError):
-        GridHash(dim=2, scale=1.0, side=1.0, shift=np.zeros(2))  # side is derived
+        GridHash(dim=2, scale=1.0, side=1.0, corner=np.zeros(2))  # side is derived
     with pytest.raises(ValueError):
-        GridHash(dim=1, scale=1.0, shift=np.array([1.0]))  # shift = side
+        GridHash(dim=2, scale=1.0, corner=np.zeros(3))  # one coordinate per axis
     with pytest.raises(ValueError):
-        GridHash(dim=0, scale=1.0, shift=np.zeros(0))
+        GridHash(dim=1, scale=1.0, corner=np.array([math.nan]))
     with pytest.raises(ValueError):
-        GridHash(dim=1, scale=math.inf, shift=np.zeros(1))
+        GridHash(dim=0, scale=1.0, corner=np.zeros(0))
+    with pytest.raises(ValueError):
+        GridHash(dim=1, scale=math.inf, corner=np.zeros(1))
 
 
 def test_eval_hash_zero_shift_floors():
-    h = GridHash(2, math.sqrt(2.0), shift=np.zeros(2))  # side 1
+    h = GridHash(2, math.sqrt(2.0), corner=np.zeros(2))  # side 1
     assert eval_hash_batch(h, np.array([[0.2, 0.7]])).tolist() == [[0, 0]]
     assert eval_hash_batch(h, np.array([[-0.1, 2.0]])).tolist() == [[-1, 2]]
 
 
 def test_eval_hash_with_shift():
-    h = GridHash(dim=1, scale=1.0, shift=np.array([0.5]))
+    h = GridHash(dim=1, scale=1.0, corner=np.array([-0.5]))
     assert eval_hash_batch(h, np.array([[0.6]])).tolist() == [[1]]  # floor(1.1)
 
 
 def test_eval_hash_dimension_mismatch():
-    h = GridHash(2, 1.0, shift=np.zeros(2))
+    h = GridHash(2, 1.0, corner=np.zeros(2))
     with pytest.raises(ValueError):
         eval_hash_batch(h, np.array([[0.0]]))
     with pytest.raises(ValueError):
@@ -104,7 +106,7 @@ def test_eval_hash_batch_matches_single():
 
 
 def test_eval_hash_batch_duplicates_and_line():
-    h = GridHash(1, 1.0, shift=np.zeros(1))
+    h = GridHash(1, 1.0, corner=np.zeros(1))
     batch = eval_hash_batch(h, np.array([[0.1], [1.1], [2.1], [0.1]]))
     assert batch[:, 0].tolist() == [0, 1, 2, 0]
 
@@ -122,14 +124,14 @@ def test_cell_index_overflow_raises():
 
 
 def test_eval_hash_batch_on_negative_coordinates():
-    # the in-place buffer gives the cells of the plain floor((x + shift) / side)
+    # the in-place buffer gives the cells of the plain floor((x - corner) / side)
     h = sample_hash(3, 0.7, seed=4)
     pts = np.random.default_rng(3).uniform(-50.0, 5.0, size=(200, 3))
-    pts[:4] = -h.shift  # on a cell corner
-    pts[4:8] = np.nextafter(-h.shift, -np.inf)  # just below it
+    pts[:4] = h.corner  # on a cell corner
+    pts[4:8] = np.nextafter(h.corner, -np.inf)  # just below it
     before = pts.copy()
     cells = eval_hash_batch(h, pts)
-    np.testing.assert_array_equal(cells, np.floor((pts + h.shift) / h.side).astype(np.int64))
+    np.testing.assert_array_equal(cells, np.floor((pts - h.corner) / h.side).astype(np.int64))
     np.testing.assert_array_equal(pts, before)
     assert cells[:4].tolist() == [[0, 0, 0]] * 4 and (cells[4:8] == -1).all()
     assert (cells < 0).mean() > 0.5
@@ -143,16 +145,33 @@ def test_count_cells_point_ball():
 
 
 def test_count_cells_interval_inside_cell():
-    h = GridHash(1, 1.0, shift=np.zeros(1))
+    h = GridHash(1, 1.0, corner=np.zeros(1))
     assert count_cells_intersecting_ball(h, [0.5], 0.4) == 1
     assert oracle_count_1d(1.0, 0.0, 0.5, 0.4) == 1
 
 
 def test_count_cells_interval_touching_neighbors():
     # [-0.1, 1.1] reaches into the cells on both sides of [0, 1)
-    h = GridHash(1, 1.0, shift=np.zeros(1))
+    h = GridHash(1, 1.0, corner=np.zeros(1))
     assert count_cells_intersecting_ball(h, [0.5], 0.6) == 3
     assert oracle_count_1d(1.0, 0.0, 0.5, 0.6) == 3
+
+
+@pytest.mark.parametrize("dim, center, r, want", [
+    (1, [1.0], 0.0, 2),
+    (1, [0.5], 0.5, 3),
+    (1, [2.0], 1.0, 4),
+    (2, [1.0, 1.0], 0.0, 4),
+], ids=["1d-point-on-face", "1d-ends-on-faces", "1d-low-end-on-face", "2d-point-on-corner"])
+def test_count_cells_counts_cuboids_touched_on_a_face(dim, center, r, want):
+    # side 1 and corner 0: the ball's ends lie on cell faces, where the
+    # closed cuboids on both sides meet it
+    h = GridHash(dim, math.sqrt(dim), corner=np.zeros(dim))
+    if dim == 1:
+        assert oracle_count_1d(h.side, 0.0, center[0], r) == want
+    else:
+        assert oracle_count_2d(h, center, r) == want
+    assert count_cells_intersecting_ball(h, center, r) == want
 
 
 def test_count_cells_matches_oracle_randomized():
@@ -162,7 +181,7 @@ def test_count_cells_matches_oracle_randomized():
         center = float(rng.normal(scale=5.0))
         r = float(rng.uniform(0.0, 4.0))
         assert count_cells_intersecting_ball(h, [center], r) == oracle_count_1d(
-            h.side, float(h.shift[0]), center, r
+            h.side, float(h.corner[0]), center, r
         )
     for trial in range(20):
         h = sample_hash(2, float(rng.uniform(0.5, 3.0)), seed=100 + trial)
@@ -187,7 +206,7 @@ def same_cell_pairs(d: int, scale: float, n: int, seed: int):
     rng = np.random.default_rng(seed + 1)
     x = rng.uniform(-10.0 * scale, 10.0 * scale, size=(n, d))
     cells = eval_hash_batch(h, x)
-    lo = cells * h.side - h.shift
+    lo = h.corner + cells * h.side
     y = lo + rng.uniform(0.0, 1.0, size=(n, d)) * h.side
     same = np.all(eval_hash_batch(h, y) == cells, axis=1)
     return x, y, same
@@ -251,14 +270,14 @@ def test_shift_invariance_of_cell_counts():
 
 def test_origin_moves_the_grid_with_the_frame():
     # dyadic points, shift and origin keep every step exact, so a grid whose
-    # origin is o sees the points x + o exactly as the default grid sees x
+    # corner is o - shift sees the points x + o exactly as the grid at corner
+    # -shift sees x
     rng = np.random.default_rng(3)
     points = rng.integers(-64, 64, size=(200, 2)) / 8.0
     shift = np.array([0.25, 0.625])
     origin = np.array([1024.0, -512.0])
-    plain = GridHash(2, math.sqrt(2.0), shift)  # side 1
-    moved = GridHash(2, math.sqrt(2.0), shift, origin=origin)
-    assert plain.corner.tolist() == (-shift).tolist()
+    plain = GridHash(2, math.sqrt(2.0), -shift)  # side 1
+    moved = GridHash(2, math.sqrt(2.0), origin - shift)
     assert (eval_hash_batch(moved, points + origin).tolist()
             == eval_hash_batch(plain, points).tolist())
     for center, r in (([0.3, -1.1], 0.0), ([0.3, -1.1], 1.7), ([2.0, 2.0], 0.5)):

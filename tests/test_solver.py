@@ -217,7 +217,7 @@ def test_pipeline_end_to_end_bound():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: GridHash(dim=2, scale=1.0, shift=np.zeros(2)),
+    lambda: GridHash(dim=2, scale=1.0, corner=np.zeros(2)),
     lambda: CoveringResult(subset=np.arange(3), radius_bound=1.0, tau_used=1.0, sizes=(3,)),
     lambda: CenterSolution(centers=np.arange(2), cost_on_solve_set=1.0, solve_seconds=0.0),
 ], ids=["GridHash", "CoveringResult", "CenterSolution"])
