@@ -31,13 +31,15 @@ Exact row dedup, of grid cells and of coordinates alike, is one routine,
 columns into group ids over rounds: each round packs a row's group id and
 as many next columns as fit, in mixed radix, above the row index bits of
 one int64 key, and one in-place sort of the keys yields the next group
-ids. When the rows' bounding box times n fits in 63 bits (grid cells at
-the scales a budget accepts, in d = 2 and d = 20 alike) one round does it
-all. A column too wide to fit beside the group ids (float bit patterns,
-fine cells spread over many of them) goes in as bit slices, high bits
-first. Every count is exact, over a budget too. Value-only dedup of 1-D
-arrays (row indices, keys) is ``sorted_distinct``, a sort and an adjacent
-compare.
+ids. The grid step hands it packed cell numbers, one int64 per group of
+axes (``kcover.covering.eval_hash_batch``), so the fold sees those groups,
+not d cell coordinates: one column on every full pass of the benchmark's
+grid workloads, in d = 2 and d = 20 alike. When the rows' bounding box
+times n fits in 63 bits one round does it all. A column too wide to fit
+beside the group ids (float bit patterns, fine cells spread over many of
+them) goes in as bit slices, high bits first. Every count is exact, over
+a budget too. Value-only dedup of 1-D arrays (row indices, keys) is
+``sorted_distinct``, a sort and an adjacent compare.
 """
 
 from __future__ import annotations

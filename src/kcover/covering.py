@@ -18,10 +18,14 @@ The grid-hash step hashes the points into a grid at scale tau, with a
 fresh random shift at every scale, and keeps one representative per
 occupied cell. Its cells are cubes of side tau / sqrt(d), so two points in
 one cell are within tau of each other, and they are counted from the data's
-column minimum, so their float resolution follows the data's spread. A
-scale fits when its cell count is at most an explicit size budget, so the
-radius bound is the cell diameter tau; this mirrors how the construction
-is run when a target coreset size is known.
+column minimum, so their float resolution follows the data's spread. The
+hash numbers a row's cell exactly with one mixed-radix int64 per group of
+axes whose cells, bounded by the data's extents, number at most 2**53
+(eval_hash_batch): one number per row on every full pass of the benchmark's
+grid workloads, which first_occurrences dedups as one sorted key. A scale
+fits when its cell count is at most an explicit size budget, so the radius
+bound is the cell diameter tau; this mirrors how the construction is run
+when a target coreset size is known.
 
 Coverings compose: merge_coverings covers the concatenation of two shards
 at the larger of their radii, and reduce_covering re-covers a covering's
@@ -36,6 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (
+    _BLOCK_ELEMS,
     STREAM_ANCHOR,
     STREAM_GRID_SHIFT,
     STREAM_SCALE_FILTER,
@@ -62,6 +67,9 @@ _BISECTIONS = 2
 _ANCHOR_ROWS = 1000
 # count_cells_intersecting_ball refuses to enumerate more cells than this
 _MAX_ENUMERATION = 1 << 24
+# eval_hash_batch packs axes into one number while its magnitude stays below
+# this; every integer up to it is exact in float64
+_EXACT = 2**53
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,17 +131,76 @@ def _int64_cells(h: GridHash, cells: np.ndarray) -> np.ndarray:
                 f"cell indices overflow int64 at scale {h.scale:g}") from None
 
 
-def eval_hash_batch(h: GridHash, points) -> np.ndarray:
-    """Cells of the rows: per-axis floor((x - corner) / side), an (n, dim) int64 array."""
+def _place_values(h: GridHash, extents) -> np.ndarray:
+    """(dim, g) place values that pack a row's cells into eval_hash_batch's g numbers.
+
+    Axis j's cells lie in [first_j, last_j], the floored extents. A group of
+    consecutive axes is numbered by the sum of its cells times their places:
+    an axis's place is the product of the cell counts of the group's later
+    axes, the last one's 1. Groups grow from the last axis back while the
+    largest magnitude that sum can take, the sum of max(|first_j|,
+    |last_j|) times the places, stays below 2**53. From a corner at the
+    column minimum, where first_j is 0, that is while the cell counts
+    multiply to at most 2**53. An axis whose cells reach 2**53 in magnitude,
+    and every axis without extents, is a group of its own. Column 0 is the
+    group of axis 0.
+    """
+    places = np.zeros((h.dim, h.dim))
+    if extents is not None:
+        first, last = (np.floor(np.subtract(e, h.corner) / h.side) for e in extents)
+    g, place, top = -1, 1, _EXACT
+    for j in reversed(range(h.dim)):
+        # size 2**53 opens a group of its own and closes it
+        size, count = _EXACT, 1
+        if extents is not None and max(abs(first[j]), abs(last[j])) < _EXACT:
+            size = int(max(abs(first[j]), abs(last[j])))
+            count = int(last[j]) - int(first[j]) + 1
+        if top + size * place >= _EXACT:
+            g, place, top = g + 1, 1, 0
+        places[j, g] = place
+        top += size * place
+        place *= count
+    return places[:, g::-1]
+
+
+def eval_hash_batch(h: GridHash, points, extents=None) -> np.ndarray:
+    """Cells floor((x - corner) / side) of the rows, packed into an (n, g) int64 array.
+
+    extents, when given, are per-column (low, high) bounds of every row, as
+    column_extents gives on the rows or on a superset of them. As subtract,
+    divide and floor are monotone, each axis's cells then lie between the
+    floored extents, and each group of consecutive axes packs into one
+    mixed-radix number (_place_values): g = 1 wherever, from a corner at the
+    column minimum, the cells of all axes number at most 2**53. Every
+    product and partial sum of the packing is an integer of magnitude below
+    2**53, so the float matmul that forms it is exact whatever its summation
+    order, thread split or fused multiply-add. Distinct cells get distinct
+    numbers, in the cells' lexicographic order, so first_occurrences finds
+    the same rows on them. Without extents g = dim: one column of cell
+    coordinates per axis.
+
+    Rows go through in blocks in one reused buffer, the corner tiled over a
+    block so that the subtraction runs flat. A cell coordinate beyond int64
+    raises ValueError (_int64_cells).
+    """
     coords = np.asarray(points, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != h.dim:
         raise ValueError("points must be an (n, dim) array matching the grid")
-    # translate, scale and floor in one buffer, so a full pass holds a single
-    # (n, dim) float temporary next to the cells
-    cells = np.subtract(coords, h.corner)
-    np.divide(cells, h.side, out=cells)
-    np.floor(cells, out=cells)
-    return _int64_cells(h, cells)
+    places = _place_values(h, extents)
+    n, d = coords.shape
+    numbers = np.empty((n, places.shape[1]), dtype=np.int64)
+    # the buffer and the tiled corner hold about _BLOCK_ELEMS values together
+    rows = max(1, min(n, _BLOCK_ELEMS // (2 * d)))
+    corners = np.tile(h.corner, rows)
+    buffer = np.empty(rows * d)
+    for start in range(0, n, rows):
+        stop = min(n, start + rows)
+        block = buffer[:(stop - start) * d]
+        np.subtract(coords[start:stop].reshape(-1), corners[:block.size], out=block)
+        np.divide(block, h.side, out=block)
+        np.floor(block, out=block)
+        numbers[start:stop] = _int64_cells(h, block.reshape(-1, d) @ places)
+    return numbers
 
 
 def count_cells_intersecting_ball(h: GridHash, center, radius: float) -> int:
@@ -375,10 +442,11 @@ def build_covering_hash(dataset: Dataset, cfg: HashCoveringConfig) -> CoveringRe
     def step(i: int, tau: float):
         h = sample_hash(d, tau, cfg.seed, stream=i, origin=extents[0])
         if filter_coords is not None:
-            sub_count = first_occurrences(eval_hash_batch(h, filter_coords), budget)[0]
+            sub_count = first_occurrences(eval_hash_batch(h, filter_coords, extents),
+                                          budget)[0]
             if sub_count > budget:
                 return sub_count, None
-        return first_occurrences(eval_hash_batch(h, dataset.coords), budget)
+        return first_occurrences(eval_hash_batch(h, dataset.coords, extents), budget)
 
     return sweep_scales(dataset, cfg.k, cfg.seed, step, 1.0, budget=budget, extents=extents)
 

@@ -174,8 +174,8 @@ def test_every_recorded_size_is_an_exact_cell_count(monkeypatch):
                                                k_planted=10, seed=1))
     passes = []
 
-    def recording(h, points):
-        cells = eval_hash_batch(h, points)
+    def recording(h, points, extents=None):
+        cells = eval_hash_batch(h, points, extents)
         if passes and passes[-1][0] is h:
             passes[-1] = (h, cells)
         else:
@@ -194,6 +194,31 @@ def test_every_recorded_size_is_an_exact_cell_count(monkeypatch):
         return box << (len(cells) - 1).bit_length() <= 2**63
 
     assert not all(fits_one_key(cells) for _, cells in passes)
+
+
+@pytest.mark.parametrize("shape", ["lowd", "desk"])
+def test_full_passes_pack_into_one_column(shape, monkeypatch):
+    # the benchmark's grid workloads at a tenth and a fifth of their n: every
+    # pass over all rows numbers each row's cell with one packed int64, so
+    # first_occurrences sorts one key column, never the d cell coordinates
+    spec, k, budget = {
+        "lowd": (SyntheticSpec("uniform_box", n=100_000, d=2, seed=21), 32, 3200),
+        "desk": (SyntheticSpec("gaussian_mixture", n=20_000, d=20, k_planted=141,
+                               seed=20), 141, 8 * 141),
+    }[shape]
+    data, _ = generate_synthetic(spec)
+    columns = []
+
+    def recording(h, points, extents=None):
+        cells = eval_hash_batch(h, points, extents)
+        if len(points) == data.n:
+            columns.append(cells.shape[1])
+        return cells
+
+    monkeypatch.setattr(covering, "eval_hash_batch", recording)
+    for seed in (0, 1):
+        build_covering_hash(data, HashCoveringConfig(k=k, budget=budget, seed=seed))
+    assert len(columns) >= 2 and set(columns) == {1}
 
 
 def test_config_validation():

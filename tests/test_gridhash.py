@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kcover.core import column_extents, first_occurrences
 from kcover.covering import (
     GridHash,
     count_cells_intersecting_ball,
@@ -135,8 +136,100 @@ def test_eval_hash_batch_on_negative_coordinates():
     np.testing.assert_array_equal(pts, before)
     assert cells[:4].tolist() == [[0, 0, 0]] * 4 and (cells[4:8] == -1).all()
     assert (cells < 0).mean() > 0.5
+    far = np.array([[-1e8], [-2e8]])
     with pytest.raises(ValueError):
-        eval_hash_batch(sample_hash(1, 1e-12, seed=0), np.array([[-1e8], [-2e8]]))
+        eval_hash_batch(sample_hash(1, 1e-12, seed=0), far)
+    # 1e20 cells on the one axis: no packing, the checked cast still raises
+    with pytest.raises(ValueError):
+        eval_hash_batch(sample_hash(1, 1e-12, seed=0), far, column_extents(far))
+
+
+def mixture_rows(n, d, seed, centers=8, spread=100.0):
+    rng = np.random.default_rng(seed)
+    middles = rng.uniform(-spread, spread, size=(centers, d))
+    return middles[rng.integers(0, centers, size=n)] + rng.normal(size=(n, d))
+
+
+def integer_box(counts, n=1500):
+    """Rows on integers in [0, count) per axis, the box's corners among them;
+    a side-1 grid at origin 0 spans count cells per axis unless its shift
+    rounds the top row up a cell."""
+    top = np.array(counts) - 1
+    rows = np.random.default_rng(5).integers(0, top, size=(n, len(counts)), endpoint=True)
+    rows[0], rows[1] = 0, top
+    return rows.astype(np.float64)
+
+
+def far_clusters(n=2000):
+    rng = np.random.default_rng(0)
+    centers = 1e9 + rng.uniform(0.0, 1e-4, size=(4, 2))
+    return centers[rng.integers(0, 4, size=n)] + rng.normal(scale=1e-7, size=(n, 2))
+
+
+def spread_scales(rows, doublings):
+    """Scales whose side is the rows' largest extent times 2**-e, e in doublings."""
+    low, high = column_extents(rows)
+    return [math.sqrt(rows.shape[1]) * float((high - low).max()) * 2.0**-e for e in doublings]
+
+
+def packing_case(name):
+    """(rows whose extents the grid and the packing take, rows hashed, scales,
+    columns each scale packs into or None)."""
+    if name.startswith("d="):
+        rows = mixture_rows(2000, int(name[2:]), seed=int(name[2:]))
+        # from one cell to cells whose counts multiply far past 2**53
+        return rows, rows, spread_scales(rows, (-30, 0, 3, 8, 16, 27, 40, 58)), None
+    if name == "group of 2**53 cells":
+        rows = integer_box([2**8, 2**45])
+        return rows, rows, [math.sqrt(2)], [1]
+    if name == "group of 2**53 + 1 cells":
+        rows = integer_box([321, 28059810762433])  # 321 x that = 2**53 + 1
+        return rows, rows, [math.sqrt(2)], [2]
+    if name == "axis of 2**60 cells":
+        rows = integer_box([7, 2**60, 3])
+        return rows, rows, [math.sqrt(3)], [3]
+    if name == "far offset":
+        rows = far_clusters()
+        return rows, rows, spread_scales(rows, (-30, 0, 4, 8, 12, 16)), None
+    if name == "duplicates":
+        rows = mixture_rows(6, 3, seed=7)[np.random.default_rng(8).integers(0, 6, size=3000)]
+        return rows, rows, spread_scales(rows, (-30, 0, 2, 10, 40)), None
+    if name == "subsample":
+        rows = mixture_rows(4000, 8, seed=9)
+        picks = np.random.default_rng(10).choice(4000, size=700, replace=False)
+        return rows, rows[picks], spread_scales(rows, (-30, 0, 3, 6, 12, 30)), None
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("name", [
+    "d=1", "d=2", "d=3", "d=8", "d=20", "group of 2**53 cells",
+    "group of 2**53 + 1 cells", "axis of 2**60 cells", "far offset", "duplicates",
+    "subsample"])
+def test_packed_cells_dedup_as_unpacked_cells(name):
+    rows, hashed, scales, columns = packing_case(name)
+    extents = column_extents(rows)
+    for stream, scale in enumerate(scales):
+        h = sample_hash(rows.shape[1], scale, seed=3, stream=stream, origin=extents[0])
+        cells = eval_hash_batch(h, hashed)
+        packed = eval_hash_batch(h, hashed, extents)
+        if columns is not None:
+            spans = np.floor((rows.max(axis=0) - h.corner) / h.side) + 1
+            assert spans.tolist() == (rows.max(axis=0) + 1).tolist()
+            assert packed.shape[1] == columns[stream]
+        assert packed.shape[0] == cells.shape[0] and packed.shape[1] <= cells.shape[1]
+        # the same partition of the rows, in the same lexicographic order
+        _, first, inverse = np.unique(cells, axis=0, return_index=True, return_inverse=True)
+        np.testing.assert_array_equal(
+            np.unique(packed, axis=0, return_inverse=True)[1].ravel(), inverse.ravel())
+        count = first.shape[0]
+        for budget in (None, count - 1, count):
+            want = None if budget == count - 1 else np.sort(first)
+            for got in (first_occurrences(packed, budget), first_occurrences(cells, budget)):
+                assert got[0] == count
+                if want is None:
+                    assert got[1] is None
+                else:
+                    np.testing.assert_array_equal(got[1], want)
 
 
 def test_count_cells_point_ball():

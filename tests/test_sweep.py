@@ -83,9 +83,9 @@ def test_filtered_sweep_matches_pinned_values(method, monkeypatch):
     data = Dataset(np.random.default_rng(406).normal(size=(20_000, 2)))
     rows_hashed = []
 
-    def counting(h, points):
+    def counting(h, points, extents=None):
         rows_hashed.append(len(points))
-        return eval_hash_batch(h, points)
+        return eval_hash_batch(h, points, extents)
 
     monkeypatch.setattr(covering, "eval_hash_batch", counting)
     result = build_covering_hash(data, HashCoveringConfig(k=8, budget=FILTERED_BUDGET, seed=3))
