@@ -27,24 +27,23 @@ gets 0 or 1 row: ``cost`` sends 1 row against 20, 32 or 316 centers, and a
 sampling round sends 0 rows against about 540 members.
 
 Exact row dedup, of grid cells and of coordinates alike, is one routine,
-``first_occurrences``, built on sorting and with no hashing. It folds the
-columns into group ids over rounds: each round packs a row's group id and
-as many next columns as fit, in mixed radix, above the row index bits of
-one int64 key, and one in-place sort of the keys yields the next group
-ids. The grid step hands it packed cell numbers, one int64 per group of
-axes (``kcover.covering.eval_hash_batch``), so the fold sees those groups,
-not d cell coordinates: one column on every full pass of the benchmark's
-grid workloads, in d = 2 and d = 20 alike. When the rows' bounding box
-times n fits in 63 bits one round does it all. A column too wide to fit
-beside the group ids (float bit patterns, fine cells spread over many of
-them) goes in as bit slices, high bits first. Every count is exact, over
-a budget too. Value-only dedup of 1-D arrays (row indices, keys) is
+``first_occurrences``, built on sorting and with no hashing. It reads each
+row as one bit string, every column's offset above the column minimum in
+the bits that column's span needs, high bits first, and folds the string
+into group ids over rounds: each round packs a row's group id and as many
+next bits as fit above the row index bits of one int64 key, and one
+in-place sort of the keys yields the next group ids. The grid step hands
+it packed cell numbers, one int64 per group of axes
+(``kcover.covering.eval_hash_batch``), so the fold sees those groups, not
+d cell coordinates: one column on every full pass of the benchmark's grid
+workloads, in d = 2 and d = 20 alike. When the columns' bits fit beside
+the row index one round does it all. Every count is exact, over a budget
+too. Value-only dedup of 1-D arrays (row indices, keys) is
 ``sorted_distinct``, a sort and an adjacent compare.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 
 import numpy as np
@@ -207,44 +206,6 @@ def sorted_distinct(values) -> np.ndarray:
     return ordered[_group_starts(ordered)]
 
 
-def _fold_digits(spans, col, rest, room):
-    """(digits, radices, col, rest) of one round of first_occurrences' fold.
-
-    A digit (j, bits, shift) is column j's offset above the column minimum,
-    cut to its low bits when bits is not None, shifted right by shift.
-    Starting at column col, of which only the low rest bits are left when
-    rest is not None, whole digits go in while the product of their radices
-    stays within room. When the first one does not fit alone, its high bits
-    go in instead, as many as room holds, and the returned rest is the
-    number of its low bits left for the next round.
-    """
-    digits, radices = [], []
-    while col < len(spans):
-        size = spans[col] if rest is None else 1 << rest
-        if math.prod(radices) * size <= room:
-            digits.append((col, rest, 0))
-            radices.append(size)
-            col, rest = col + 1, None
-            continue
-        if math.prod(radices) == 1:
-            bits = (spans[col] - 1).bit_length() if rest is None else rest
-            shift = bits - (room.bit_length() - 1)
-            digits.append((col, rest, shift))
-            radices.append(1 << (bits - shift))
-            rest = shift
-        break
-    return digits, radices, col, rest
-
-
-def _digit_values(column: np.ndarray, lo: int, bits, shift: int) -> np.ndarray:
-    """A _fold_digits digit of every row, from its int64 column and minimum lo."""
-    offsets = column.view(np.uint64) - np.uint64(lo % (1 << 64))
-    if bits is not None:
-        offsets &= np.uint64((1 << bits) - 1)
-    offsets >>= np.uint64(shift)
-    return offsets
-
-
 def first_occurrences(rows, budget=None):
     """Lowest index of each distinct row of a nonempty 2-D array.
 
@@ -254,56 +215,58 @@ def first_occurrences(rows, budget=None):
     rows compare by the bit pattern of ``row + 0.0``, so 0.0 and -0.0 are
     one value, as numpy's ``unique`` treats them.
 
-    The columns fold into group ids over rounds (``_fold_digits``). A round
-    packs each row into one int64 key: its group id from the rounds before
-    and the round's digits in mixed radix, shifted left by row_bits =
-    bit_length(n - 1) and ORed with the row index, all below 2**63. Whole
-    columns go in one uint64 matmul; uint64 arithmetic wraps modulo 2**64
-    and every true key lies in [0, 2**63), so the wrapped sums are exact.
-    One in-place sort groups equal high bits with the lowest index first,
-    and the groups' ranks, scattered back through the index bits, are the
-    next round's group ids. The fold stops when the columns run out or
-    every row is alone in its group. Rows whose bounding box times n fits
-    in 63 bits take one round. The group ids take at most row_bits, so for
-    n up to 2**31 every round consumes at least one bit.
+    Column j's offset above its minimum takes bit_length(max_j - min_j)
+    bits, and the columns' offsets, high bits first, form one bit string per
+    row that orders the rows as their columns do. The fold reads the string
+    over rounds. A round packs each row into one int64 key: its group id
+    from the rounds before, then as many next bits of the string as fit
+    below 2**63 beside it, crossing column edges, shifted left by row_bits =
+    bit_length(n - 1) and ORed with the row index. Subtract, shift, mask and
+    OR form every key; uint64 offsets wrap modulo 2**64 and every true
+    offset lies in [0, 2**64), so they are exact. One in-place sort groups
+    equal high bits with the lowest index first, and the groups' ranks,
+    scattered back through the index bits, are the next round's group ids.
+    The fold stops when the bits run out or every row is alone in its
+    group. A single column takes one round when its span times 2**row_bits
+    is at most 2**63. The group ids take at most row_bits, so for n up to
+    2**31 every round reads at least one bit.
     """
     arr = np.asarray(rows)
     if arr.dtype.kind == "f":
         arr = (arr.astype(np.float64, copy=False) + 0.0).view(np.int64)
     arr = np.ascontiguousarray(arr, dtype=np.int64)
-    n, width = arr.shape
+    n = arr.shape[0]
     row_bits = (n - 1).bit_length()
-    # the extents are taken on Python ints, so a column spanning most of
-    # the int64 range cannot overflow a span or a fit test
+    index = np.arange(n, dtype=np.uint64)
+    # the widths are taken on Python ints, so a column spanning most of the
+    # int64 range cannot overflow; column j holds bits [ends[j], ends[j + 1])
     low, high = column_extents(arr)
     lo = low.tolist()
-    spans = [b - a + 1 for a, b in zip(lo, high.tolist())]
-    count, ids, col, rest = 1, None, 0, None
+    ends = np.cumsum([0] + [(b - a).bit_length() for a, b in zip(lo, high.tolist())]).tolist()
+    count, taken, ids = 1, 0, None
     while True:
-        digits, radices, col, rest = _fold_digits(spans, col, rest,
-                                                  (1 << (63 - row_bits)) // count)
-        places = [math.prod(radices[i + 1:]) << row_bits for i in range(len(digits))]
-        whole = [(j, p) for (j, bits, shift), p in zip(digits, places)
-                 if bits is None and not shift]
-        if whole:
-            block = arr[:, whole[0][0]:whole[-1][0] + 1].view(np.uint64)
-            keys = block @ np.array([p for _, p in whole], dtype=np.uint64)
-            keys -= np.uint64(sum(lo[j] * p for j, p in whole) % (1 << 64))
-        else:
-            keys = np.zeros(n, dtype=np.uint64)
-        for (j, bits, shift), p in zip(digits, places):
-            if bits is not None or shift:
-                keys += _digit_values(arr[:, j], lo[j], bits, shift) * np.uint64(p)
-        if ids is not None:
-            ids *= np.uint64(math.prod(radices) << row_bits)
-            keys += ids
-            ids = None
-        keys |= np.arange(n, dtype=np.uint64)
+        stop = min(ends[-1], taken + 63 - row_bits - (count - 1).bit_length())
+        keys = ids
+        if keys is not None:
+            keys <<= np.uint64(stop - taken + row_bits)
+        for j in range(len(lo)):
+            # the bits [top, end) of the round's [taken, stop) in column j
+            top, end = max(ends[j], taken), min(ends[j + 1], stop)
+            if top >= end:
+                continue
+            part = arr[:, j].view(np.uint64) - np.uint64(lo[j] % (1 << 64))
+            if end < ends[j + 1]:
+                part >>= np.uint64(ends[j + 1] - end)
+            if top > ends[j]:
+                part &= np.uint64((1 << (end - top)) - 1)
+            part <<= np.uint64(stop - end + row_bits)
+            keys = part if keys is None else np.bitwise_or(keys, part, out=keys)
+        keys = index.copy() if keys is None else np.bitwise_or(keys, index, out=keys)
         keys = keys.view(np.int64)
         keys.sort()
         starts = _group_starts(keys >> row_bits)
-        count = int(np.count_nonzero(starts))
-        if count == n or (col == width and rest is None):
+        count, taken = int(np.count_nonzero(starts)), stop
+        if count == n or taken == ends[-1]:
             break
         ids = np.empty(n, dtype=np.uint64)
         ids[keys & ((1 << row_bits) - 1)] = np.cumsum(starts) - 1

@@ -65,8 +65,6 @@ _BUDGET_EXTRA_DOUBLINGS = 64
 _BISECTIONS = 2
 # the anchor's greedy runs on a sample of at least this many rows (and 4k)
 _ANCHOR_ROWS = 1000
-# count_cells_intersecting_ball refuses to enumerate more cells than this
-_MAX_ENUMERATION = 1 << 24
 # eval_hash_batch packs axes into one number while its magnitude stays below
 # this; every integer up to it is exact in float64
 _EXACT = 2**53
@@ -76,10 +74,8 @@ _EXACT = 2**53
 class GridHash:
     """One realized grid: cubes of side scale / sqrt(dim), so of diagonal scale.
 
-    A point x lies in cell floor((x - corner) / side). The cell's closed
-    cuboid spans corner + [c, c + 1] * side per axis, and
-    count_cells_intersecting_ball counts a cuboid that touches the ball only
-    on a face. sample_hash draws the corner.
+    A point x lies in cell floor((x - corner) / side), whose closed cuboid
+    spans corner + [c, c + 1] * side per axis. sample_hash draws the corner.
     """
 
     dim: int
@@ -201,42 +197,6 @@ def eval_hash_batch(h: GridHash, points, extents=None) -> np.ndarray:
         np.floor(block, out=block)
         numbers[start:stop] = _int64_cells(h, block.reshape(-1, d) @ places)
     return numbers
-
-
-def count_cells_intersecting_ball(h: GridHash, center, radius: float) -> int:
-    """Number of grid cells whose closed cuboid meets the closed ball.
-
-    A cuboid that touches the ball only on a face counts, so a ball of
-    radius 0 on the face between two cells meets both. Exact enumeration
-    over the integer bounding box, testing the distance from the ball center
-    to the nearest point of each cell cuboid. Only supported for dim <= 8;
-    the box grows exponentially with dimension.
-    """
-    if h.dim > 8:
-        raise ValueError("cell enumeration is only supported for dim <= 8")
-    if not (radius >= 0 and math.isfinite(radius)):
-        raise ValueError("radius must be nonnegative and finite")
-    c = np.asarray(center, dtype=np.float64).ravel()
-    if c.shape[0] != h.dim:
-        raise ValueError("center dimension does not match the grid")
-
-    # work in cell units: cell t spans [t, t + 1] and meets [y - r, y + r]
-    # exactly when ceil(y - r) - 1 <= t <= floor(y + r)
-    y = (c - h.corner) / h.side
-    r = radius / h.side
-    lo = _int64_cells(h, np.ceil(y - r)) - 1
-    hi = _int64_cells(h, np.floor(y + r))
-    spans = hi - lo + 1
-    total = int(np.prod(spans, dtype=np.float64))
-    if total > _MAX_ENUMERATION:
-        raise ValueError("radius too large relative to cell side to enumerate")
-
-    axes = [np.arange(lo[i], hi[i] + 1, dtype=np.int64) for i in range(h.dim)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, h.dim)
-    # nearest point of the closed unit cuboid [t, t+1] to y, per axis
-    nearest = np.clip(y, grid, grid + 1)
-    d2 = ((nearest - y) ** 2).sum(axis=1)
-    return int(np.count_nonzero(d2 <= r * r))
 
 
 @dataclass(frozen=True, eq=False)

@@ -71,12 +71,15 @@ def build_coreset(method: str, dataset: Dataset, k: int, budget: int | None, see
 
     Returns (sorted row subset, its CoveringResult), or (subset, None) for
     the uniform sample, which certifies no radius. The sample method takes
-    no budget; the others raise ValueError without one.
+    no budget; the others raise ValueError without one. A budget above n
+    is taken as n, as run_sweep takes it.
     """
     if method not in CORESET_METHODS:
         raise ValueError(f"unknown method {method!r}")
     if budget is None and method != "sample":
         raise ValueError(f"the {method} method needs a budget")
+    if budget is not None:
+        budget = min(budget, dataset.n)
     if method == "uniform":
         return uniform_baseline(dataset, budget, seed), None
     if method == "sample":

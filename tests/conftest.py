@@ -20,7 +20,10 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from kcover.core import sq_dists_to_point
-from kcover.covering import scale_anchor
+from kcover.covering import GridHash, _int64_cells, scale_anchor
+
+# count_cells_intersecting_ball refuses to enumerate more cells than this
+_MAX_ENUMERATION = 1 << 24
 
 
 def pairwise_dists(coords: np.ndarray) -> np.ndarray:
@@ -105,3 +108,39 @@ def t_beta_bound(dim: int, beta: float, constants=(1.0, 1.0, 2.76)) -> float:
     exponent = c3 * dim / beta ** (2.0 / 3.0)
     value = math.inf if exponent > 700 else c1 * dim**c2 * math.exp(exponent)
     return max(1.0, value)
+
+
+def count_cells_intersecting_ball(h: GridHash, center, radius: float) -> int:
+    """Number of grid cells whose closed cuboid meets the closed ball.
+
+    A cuboid that touches the ball only on a face counts, so a ball of
+    radius 0 on the face between two cells meets both. Exact enumeration
+    over the integer bounding box, testing the distance from the ball center
+    to the nearest point of each cell cuboid. Only supported for dim <= 8;
+    the box grows exponentially with dimension.
+    """
+    if h.dim > 8:
+        raise ValueError("cell enumeration is only supported for dim <= 8")
+    if not (radius >= 0 and math.isfinite(radius)):
+        raise ValueError("radius must be nonnegative and finite")
+    c = np.asarray(center, dtype=np.float64).ravel()
+    if c.shape[0] != h.dim:
+        raise ValueError("center dimension does not match the grid")
+
+    # work in cell units: cell t spans [t, t + 1] and meets [y - r, y + r]
+    # exactly when ceil(y - r) - 1 <= t <= floor(y + r)
+    y = (c - h.corner) / h.side
+    r = radius / h.side
+    lo = _int64_cells(h, np.ceil(y - r)) - 1
+    hi = _int64_cells(h, np.floor(y + r))
+    spans = hi - lo + 1
+    total = int(np.prod(spans, dtype=np.float64))
+    if total > _MAX_ENUMERATION:
+        raise ValueError("radius too large relative to cell side to enumerate")
+
+    axes = [np.arange(lo[i], hi[i] + 1, dtype=np.int64) for i in range(h.dim)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, h.dim)
+    # nearest point of the closed unit cuboid [t, t+1] to y, per axis
+    nearest = np.clip(y, grid, grid + 1)
+    d2 = ((nearest - y) ** 2).sum(axis=1)
+    return int(np.count_nonzero(d2 <= r * r))

@@ -17,7 +17,6 @@ from kcover.core import Dataset
 from kcover.covering import (
     HashCoveringConfig,
     build_covering_hash,
-    count_cells_intersecting_ball,
     eval_hash_batch,
     merge_coverings,
     reduce_covering,
@@ -28,7 +27,12 @@ from kcover.experiment import REPORT_COLUMNS, TIMING_COLUMNS, emit_report, run_s
 from kcover.sampling import SampleCoveringConfig, build_covering_sample, run_sampling_rounds
 from kcover.solver import evaluate_on_full, gonzalez
 
-from conftest import covering_ok, exhaustive_discrete_opt, t_beta_bound
+from conftest import (
+    count_cells_intersecting_ball,
+    covering_ok,
+    exhaustive_discrete_opt,
+    t_beta_bound,
+)
 
 
 def report(tag: str, ok: bool, detail: str) -> None:

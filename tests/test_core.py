@@ -185,21 +185,33 @@ def duplicated_rows(draw):
 
     Floats draw from values that include both 0.0 and -0.0; wide integers
     from int64 min and max and from +-2**62, whose columns span more bits
-    than one key holds beside the row index."""
+    than one key holds beside the row index. Mixed rows are int64, each
+    column drawn from a pool of its own: small ints, int64 extremes, or the
+    bit patterns of floats with 0.0 and -0.0, so a narrow column's round
+    fills its room with the high bits of a wider next one."""
     width = draw(st.sampled_from([1, 2, 20]))
     n = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (draw(st.integers(1, 8)), width)
     lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-    kind = draw(st.sampled_from(["float", "small", "extreme", "spread"]))
+    pools = {
+        "small": np.arange(-3, 3),
+        "extreme": np.array([lo, lo + 1, -1, 0, hi - 1, hi]),
+        "patterns": np.array([0.0, -0.0, 1.5, -2.25]).view(np.int64),
+    }
+    kind = draw(st.sampled_from(["float", "small", "extreme", "spread", "mixed"]))
     if kind == "float":
         pool = rng.choice([0.0, -0.0, 1.5, -2.25], size=shape)
     elif kind == "small":
         pool = rng.integers(-3, 3, size=shape)
     elif kind == "extreme":
-        pool = rng.choice(np.array([lo, lo + 1, -1, 0, hi - 1, hi]), size=shape)
-    else:
+        pool = rng.choice(pools["extreme"], size=shape)
+    elif kind == "spread":
         pool = rng.choice(np.array([-2**62, -1, 0, 1, 2**62]), size=shape)
+    else:
+        names = draw(st.lists(st.sampled_from(sorted(pools)), min_size=width,
+                              max_size=width))
+        pool = np.column_stack([rng.choice(pools[name], size=shape[0]) for name in names])
     return pool[rng.integers(0, pool.shape[0], size=n)]
 
 
@@ -268,11 +280,17 @@ def test_first_occurrences_packed_box_edges():
     lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
     count, first = first_occurrences(np.array([[lo, 0], [hi, 0], [lo, 0], [hi, 1]]))
     assert count == 3 and first.tolist() == [0, 1, 3]
-    # the second column goes in as its high 59 bits, beside the first
-    # column's 2 groups, and then as its low 5 bits. [0, lo + 160] and
-    # [1, lo + 96] have high bits 5 and 3 and group ranks 1 and 3, which add
-    # up alike: only cutting the high bits off the low ones keeps them apart
+    # beside 3 row bits the first round takes the first column's 1 bit and
+    # the second column's high 59 bits; the second round takes its low 5
+    # bits beside the 4 groups' 2-bit ids. [0, lo + 160] and [1, lo + 96]
+    # share their low 5 bits, 0, so the first round alone parts them
     rows = np.array([[0, lo], [0, lo + 160], [0, hi], [1, lo + 96]]).repeat(2, axis=0)
+    count, first = first_occurrences(rows)
+    assert count == 4 and first.tolist() == [0, 2, 4, 6]
+    # the same rounds: [0, lo + 64] and [1, lo] have high bits 2 and 0 and
+    # group ids 1 and 3, so a second round that ORs in the whole offset, not
+    # its low 5 bits, gives both 1 | 2 == 3 | 0 above equal low bits
+    rows = np.array([[0, lo], [0, lo + 64], [0, hi], [1, lo]]).repeat(2, axis=0)
     count, first = first_occurrences(rows)
     assert count == 4 and first.tolist() == [0, 2, 4, 6]
     # one far row spreads 3000 rows over 2**62 cells

@@ -188,6 +188,9 @@ def test_every_recorded_size_is_an_exact_cell_count(monkeypatch):
     assert list(result.sizes) == exact
     assert any(s > 100 for s in result.sizes)
 
+    # each column takes at least log2 of its span in bits, so a pass whose
+    # box of cells times 2**row_bits exceeds 2**63 has more bits than one
+    # key holds beside the row index, and folds over several rounds
     def fits_one_key(cells):
         lo, hi = column_extents(cells)
         box = math.prod(int(b) - int(a) + 1 for a, b in zip(lo, hi))

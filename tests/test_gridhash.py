@@ -6,10 +6,11 @@ import pytest
 from kcover.core import column_extents, first_occurrences
 from kcover.covering import (
     GridHash,
-    count_cells_intersecting_ball,
     eval_hash_batch,
     sample_hash,
 )
+
+from conftest import count_cells_intersecting_ball
 
 
 def oracle_count_1d(side: float, corner: float, center: float, r: float) -> int:

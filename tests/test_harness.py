@@ -355,6 +355,18 @@ def test_cli_coreset_sample_method(tmp_path):
     assert payload["indices"]
 
 
+@pytest.mark.parametrize("method", ["hash", "uniform"])
+def test_cli_coreset_budget_above_n_keeps_every_row(tmp_path, method):
+    # a budget past n is taken as n, as run_sweep takes it: both budgeted
+    # methods return all 400 distinct rows
+    data_path = synth_csv(tmp_path, n=400, k=3, seed=7)
+    out = tmp_path / "coreset.json"
+    rc = main(["coreset", "--input", str(data_path), "--method", method, "--k", "3",
+               "--budget", "1000", "--output", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["indices"] == list(range(400))
+
+
 def test_cli_sweep_csv(tmp_path):
     data_path = synth_csv(tmp_path, n=150, k=3, seed=4)
     report_path = tmp_path / "report.csv"
