@@ -8,7 +8,7 @@ CsvFormatError, HashCoveringConfig, build_covering_hash, SampleCoveringConfig,
 build_covering_sample, CoveringResult, merge_coverings, reduce_covering,
 ConstructionFailedError, ExactOracle, gonzalez, CenterSolution,
 evaluate_on_full and cost. The sweep harness (run_sweep, ExperimentReport,
-emit_report) is kcover.experiment; uniform_baseline is in kcover.covering.
+emit_report) and its uniform-sample coreset are kcover.experiment's.
 """
 
 from .core import ConstructionFailedError, Dataset, cost

@@ -55,7 +55,7 @@ _TINY = np.finfo(np.float64).tiny
 _MAX = np.finfo(np.float64).max
 # cap on the float64 values in one block buffer of _bracket_scan and _nearest_sq
 _BLOCK_ELEMS = 1 << 16
-# members in the first chunk of _screen_farther's scan; each next chunk doubles
+# members in the first chunk of a _bracket_scan that rows can leave; each next doubles
 _FIRST_CHUNK = 32
 # fixed seed of _bracket_scan's member visit order; no result depends on it
 _VISIT_SEED = 0x6661727468
@@ -96,6 +96,11 @@ def rng_stream(seed, *path):
     if not 0 <= seed < MAX_SEED:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return np.random.default_rng([seed, *(int(p) for p in path)])
+
+
+def uniform_rows(n: int, size: int, seed: int, stream: int) -> np.ndarray:
+    """size distinct rows of range(n), uniform without replacement, sorted int64."""
+    return np.sort(rng_stream(seed, stream).choice(n, size, replace=False)).astype(np.int64)
 
 
 class Dataset:
@@ -378,7 +383,7 @@ def _scratch_buffer(size: int) -> np.ndarray:
     return buf
 
 
-def _bracket_scan(points: np.ndarray, members: np.ndarray, first: int, below: float):
+def _bracket_scan(points: np.ndarray, members: np.ndarray, below: float):
     """(live, lower, upper): brackets on each row's squared nearest-member distance.
 
     The screen is member-major, one row per member, so a row's screened
@@ -387,18 +392,20 @@ def _bracket_scan(points: np.ndarray, members: np.ndarray, first: int, below: fl
     within 2B once the roundings of |x|^2 and of the addition are counted:
     the exact minimum lies in [est - 2B, est + 2B], with 2B from _slack.
 
-    Members go in a fixed shuffled order, in chunks of first members, each
-    next one twice the last and capped at _BLOCK_ELEMS. After every chunk
-    but the last, the rows whose upper end lies below below leave the scan.
-    A row's 2B depends on the row and the fixed origin alone, and rounding
-    is monotone, so running minima of est - 2B and est + 2B are exactly the
-    ends over the members visited. lower and upper hold them for every row
-    when live is None, else for the rows in live. Rows are sliced until one
-    leaves and gathered after; beyond the block buffers the scan keeps two
-    float64 values per row.
+    Members go in a fixed shuffled order, in chunks capped at _BLOCK_ELEMS,
+    each twice the last: the first holds _FIRST_CHUNK members, or all when
+    below is -inf, so no row can leave. After every chunk but the last, the
+    rows whose upper end lies below below leave the scan. A row's 2B depends
+    on the row and the fixed origin alone, and rounding is monotone, so
+    running minima of est - 2B and est + 2B are exactly the ends over the
+    members visited. lower and upper hold them for every row when live is
+    None, else for the rows in live. Rows are sliced until one leaves and
+    gathered after; beyond the block buffers the scan keeps two float64
+    values per row.
     """
     n, d = points.shape
     m = members.shape[0]
+    first = m if below == -np.inf else _FIRST_CHUNK
     visit = np.random.default_rng(_VISIT_SEED).permutation(m)
     origin, screen_by, bound, base = _screen_frame(members[visit])
     by_member = screen_by.T
@@ -470,7 +477,7 @@ def _screen_farther(points: np.ndarray, members: np.ndarray, radius: float):
     """
     r2 = radius * radius
     covered_below = r2 * (1.0 - 4.0 * _EPS) - _TINY
-    live, lower, upper = _bracket_scan(points, members, _FIRST_CHUNK, covered_below)
+    live, lower, upper = _bracket_scan(points, members, covered_below)
     if live is None:
         live = np.arange(points.shape[0])
     decided = np.isfinite(lower) & (lower > r2 * (1.0 + 4.0 * _EPS) + _TINY)
@@ -496,7 +503,7 @@ def cost(dataset: Dataset, centers) -> float:
     """
     members = dataset.coords[index_subset(centers, dataset.n)]
     # no row leaves a scan whose threshold is -inf, so live is None
-    _, lower, upper = _bracket_scan(dataset.coords, members, members.shape[0], -np.inf)
+    _, lower, upper = _bracket_scan(dataset.coords, members, -np.inf)
     floor = float(np.max(lower, where=np.isfinite(lower), initial=-np.inf))
     rows = np.flatnonzero(np.logical_not(upper < floor))
     return float(np.sqrt(_nearest_sq(dataset.coords[rows], members)[1].max()))

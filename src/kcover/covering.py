@@ -41,16 +41,17 @@ import numpy as np
 
 from .core import (
     _BLOCK_ELEMS,
+    _EPS,
     STREAM_ANCHOR,
     STREAM_GRID_SHIFT,
     STREAM_SCALE_FILTER,
-    STREAM_UNIFORM_SAMPLE,
     ConstructionFailedError,
     Dataset,
     column_extents,
     first_occurrences,
     rng_stream,
     row_indices,
+    uniform_rows,
 )
 from .solver import gonzalez
 
@@ -284,8 +285,7 @@ def scale_anchor(dataset: Dataset, k: int, seed: int) -> float:
     n = dataset.n
     rows = min(n, max(_ANCHOR_ROWS, 4 * k))
     if rows < n:
-        picks = rng_stream(seed, STREAM_ANCHOR).choice(n, size=rows, replace=False)
-        dataset = dataset.take(np.sort(picks))
+        dataset = dataset.take(uniform_rows(n, rows, seed, STREAM_ANCHOR))
     return gonzalez(dataset, k).cost_on_solve_set / 2.0
 
 
@@ -294,7 +294,8 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
     """Scale search shared by every covering construction.
 
     step(i, tau) tries the i-th scale and returns (size, subset or None); a
-    subset means the scale is accepted, with radius bound radius_factor * tau.
+    subset means the scale is accepted, with radius bound radius_factor * tau
+    capped at the data's bounding-box diagonal, within which every row lies.
     Every tried scale's size goes into sizes. extents, when given, are
     column_extents(dataset.coords).
 
@@ -320,6 +321,13 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
     low, high = column_extents(coords) if extents is None else extents
     extent = high - low
     spread = float(extent.max())
+    # rounded up so that no computed row distance exceeds it: rounding is
+    # monotone, so each rounded squared difference of two rows is at most the
+    # rounded extent_j**2. A sum of d terms in any order is off by under
+    # (d - 1) eps / 2 relative, so the two sums part by under (d - 1) eps,
+    # which the square root halves; with the roundings of both roots and of
+    # the product that stays under (d + 2) eps / 2, inside the 2 d eps added
+    diagonal = float(np.sqrt((extent**2).sum()) * (1.0 + 2.0 * dataset.d * _EPS))
     sizes: list[int] = []
 
     def attempt(tau: float):
@@ -328,7 +336,7 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
         return subset
 
     def accepted(subset, tau: float) -> CoveringResult:
-        return CoveringResult(subset=subset, radius_bound=radius_factor * tau,
+        return CoveringResult(subset=subset, radius_bound=min(radius_factor * tau, diagonal),
                               tau_used=float(tau), sizes=tuple(sizes))
 
     # a budget of n or more always fits the exact-duplicate collapse
@@ -345,8 +353,7 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
 
     if budget is None:
         tau = anchor
-        # where the radius bound reaches the bounding-box diagonal
-        top = float(np.sqrt((extent**2).sum())) / radius_factor
+        top = diagonal / radius_factor
     else:
         # from 2**-61 sqrt(d) spread up, a row's offset from a grid corner
         # in the data's frame stays below 2**61 + 1 cell sides
@@ -393,9 +400,7 @@ def build_covering_hash(dataset: Dataset, cfg: HashCoveringConfig) -> CoveringRe
     sample_cap = min(n, 2 * budget + 2048)
     filter_coords = None
     if sample_cap < n:
-        filter_rows = rng_stream(cfg.seed, STREAM_SCALE_FILTER).choice(
-            n, size=sample_cap, replace=False)
-        filter_coords = dataset.coords[filter_rows]
+        filter_coords = dataset.coords[uniform_rows(n, sample_cap, cfg.seed, STREAM_SCALE_FILTER)]
 
     extents = column_extents(dataset.coords)
 
@@ -410,11 +415,3 @@ def build_covering_hash(dataset: Dataset, cfg: HashCoveringConfig) -> CoveringRe
 
     return sweep_scales(dataset, cfg.k, cfg.seed, step, 1.0, budget=budget, extents=extents)
 
-
-def uniform_baseline(dataset: Dataset, size: int, seed: int) -> np.ndarray:
-    """Uniform sample of rows without replacement, as a sorted index subset."""
-    if not 1 <= size <= dataset.n:
-        raise ValueError("size must lie in [1, n]")
-    rng = rng_stream(seed, STREAM_UNIFORM_SAMPLE)
-    picks = rng.choice(dataset.n, size=size, replace=False)
-    return np.sort(picks.astype(np.int64))

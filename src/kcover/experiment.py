@@ -18,8 +18,9 @@ import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .core import STREAM_SWEEP, ConstructionFailedError, Dataset, rng_stream
-from .covering import HashCoveringConfig, build_covering_hash, uniform_baseline
+from .core import (STREAM_SWEEP, STREAM_UNIFORM_SAMPLE, ConstructionFailedError, Dataset,
+                   rng_stream, uniform_rows)
+from .covering import HashCoveringConfig, build_covering_hash
 from .sampling import SampleCoveringConfig, build_covering_sample
 from .solver import evaluate_on_full, gonzalez
 
@@ -71,17 +72,17 @@ def build_coreset(method: str, dataset: Dataset, k: int, budget: int | None, see
 
     Returns (sorted row subset, its CoveringResult), or (subset, None) for
     the uniform sample, which certifies no radius. The sample method takes
-    no budget; the others raise ValueError without one. A budget above n
-    is taken as n, as run_sweep takes it.
+    no budget; the others raise ValueError without one of at least 1. A
+    budget above n is taken as n, as run_sweep takes it.
     """
     if method not in CORESET_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if budget is None and method != "sample":
-        raise ValueError(f"the {method} method needs a budget")
+    if method != "sample" and (budget is None or budget < 1):
+        raise ValueError(f"the {method} method needs a budget of at least 1")
     if budget is not None:
         budget = min(budget, dataset.n)
     if method == "uniform":
-        return uniform_baseline(dataset, budget, seed), None
+        return uniform_rows(dataset.n, budget, seed, STREAM_UNIFORM_SAMPLE), None
     if method == "sample":
         result = build_covering_sample(dataset, SampleCoveringConfig(k=k, seed=seed))
     else:

@@ -10,11 +10,11 @@ meant for the few rows a screen leaves open, not for whole datasets.
 ``farther_than`` answers the covered test a sampling round needs, whether
 a row's nearest member is farther than a radius, with exactly the values
 ``query_many`` gives. The screen ``core._screen_farther`` runs the
-member-major bracket scan that ``cost`` also runs, from a small first
-chunk of members, so a row leaves the scan at the first chunk that covers
-it. The rows it leaves open go to ``query_many`` in one call per round; on
-the benchmark's sampling rounds that call gets 0 rows against about 540
-members.
+member-major bracket scan that ``cost`` also runs, but from a small first
+chunk of members rather than all of them, so a row leaves the scan at the
+first chunk that covers it. The rows it leaves open go to ``query_many``
+in one call per round; on the benchmark's sampling rounds that call gets
+0 rows against about 540 members.
 """
 
 from __future__ import annotations
@@ -58,11 +58,5 @@ class ExactOracle:
         return far
 
 
-def build_oracle(dataset: Dataset, subset) -> ExactOracle:
-    """The oracle one sampling round queries.
-
-    A factory rather than a direct ``ExactOracle`` call only so that the
-    round loop looks this name up in ``kcover.sampling``, where the
-    benchmark's tracer wraps it to count rounds (perfbench/layers.py).
-    """
-    return ExactOracle(dataset, subset)
+# the benchmark's tracer wraps this name in kcover.sampling to count rounds
+build_oracle = ExactOracle

@@ -9,6 +9,9 @@ from hypothesis.extra import numpy as hnp
 
 from kcover.cli import EXIT_USAGE, main
 from kcover.core import (
+    STREAM_ANCHOR,
+    STREAM_SCALE_FILTER,
+    STREAM_UNIFORM_SAMPLE,
     Dataset,
     column_extents,
     cost,
@@ -17,6 +20,7 @@ from kcover.core import (
     rng_stream,
     sorted_distinct,
     sq_dists_to_point,
+    uniform_rows,
 )
 from kcover.covering import eval_hash_batch, sample_hash
 from kcover.datasets import SyntheticSpec, generate_synthetic
@@ -398,3 +402,19 @@ def test_rng_stream_determinism_and_isolation():
         rng_stream(-1)
     with pytest.raises(ValueError):
         rng_stream(2**64)
+
+
+def test_uniform_rows_contract():
+    # size distinct rows of range(n), sorted int64, exactly the draw of
+    # rng_stream(seed, stream).choice without replacement
+    assert uniform_rows(20, 20, seed=0, stream=STREAM_UNIFORM_SAMPLE).tolist() == list(range(20))
+    one = uniform_rows(20, 1, seed=5, stream=STREAM_UNIFORM_SAMPLE)
+    assert one.dtype == np.int64 and one.shape == (1,) and 0 <= one[0] < 20
+    rows = uniform_rows(1000, 300, seed=3, stream=STREAM_SCALE_FILTER)
+    assert rows.dtype == np.int64 and rows.shape == (300,)
+    assert np.all(np.diff(rows) > 0) and rows[0] >= 0 and rows[-1] < 1000
+    np.testing.assert_array_equal(rows, uniform_rows(1000, 300, seed=3, stream=STREAM_SCALE_FILTER))
+    np.testing.assert_array_equal(
+        rows, np.sort(rng_stream(3, STREAM_SCALE_FILTER).choice(1000, size=300, replace=False)))
+    assert not np.array_equal(rows, uniform_rows(1000, 300, seed=4, stream=STREAM_SCALE_FILTER))
+    assert not np.array_equal(rows, uniform_rows(1000, 300, seed=3, stream=STREAM_ANCHOR))

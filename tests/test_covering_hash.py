@@ -10,7 +10,6 @@ from kcover.covering import (
     build_covering_hash,
     eval_hash_batch,
     sample_hash,
-    uniform_baseline,
 )
 from kcover.datasets import SyntheticSpec, generate_synthetic
 from kcover.solver import evaluate_on_full, gonzalez
@@ -245,21 +244,6 @@ def test_build_deterministic_per_seed():
     b = build_covering_hash(data, cfg)
     assert a.subset.tolist() == b.subset.tolist()
     assert a.radius_bound == b.radius_bound and a.sizes == b.sizes
-
-
-def test_uniform_baseline_contract():
-    rng = np.random.default_rng(14)
-    data = Dataset(rng.normal(size=(20, 2)))
-    assert uniform_baseline(data, 20, seed=0).tolist() == list(range(20))
-    one = uniform_baseline(data, 1, seed=5)
-    assert one.shape == (1,) and 0 <= one[0] < 20
-    np.testing.assert_array_equal(
-        uniform_baseline(data, 7, seed=3), uniform_baseline(data, 7, seed=3)
-    )
-    with pytest.raises(ValueError):
-        uniform_baseline(data, 21, seed=0)
-    with pytest.raises(ValueError):
-        uniform_baseline(data, 0, seed=0)
 
 
 def test_subset_rows_are_dataset_rows():

@@ -355,6 +355,27 @@ def test_cli_coreset_sample_method(tmp_path):
     assert payload["indices"]
 
 
+def test_build_coreset_budget_range():
+    # every budgeted method needs a budget of at least 1; one above n is
+    # taken as n, so the uniform method returns every row
+    data = Dataset(np.random.default_rng(14).normal(size=(20, 2)))
+    subset, result = build_coreset("uniform", data, 2, 21, seed=0)
+    assert result is None and subset.tolist() == list(range(20))
+    for method in ("hash", "uniform"):
+        for budget in (0, -1, None):
+            with pytest.raises(ValueError):
+                build_coreset(method, data, 2, budget, seed=0)
+
+
+def test_cli_coreset_budget_zero_is_a_usage_error(tmp_path, capsys):
+    data_path = synth_csv(tmp_path, n=50, k=2)
+    rc = main(["coreset", "--input", str(data_path), "--method", "uniform", "--k", "2",
+               "--budget", "0", "--output", str(tmp_path / "coreset.json")])
+    assert rc == EXIT_USAGE == 2
+    assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / "coreset.json").exists()
+
+
 @pytest.mark.parametrize("method", ["hash", "uniform"])
 def test_cli_coreset_budget_above_n_keeps_every_row(tmp_path, method):
     # a budget past n is taken as n, as run_sweep takes it: both budgeted

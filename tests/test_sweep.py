@@ -40,14 +40,15 @@ BUILDS = {
 }
 
 # (subset, radius_bound, tau_used, iterations, sizes), recorded when the
-# grid moved to the data's frame (coverings changed then on purpose)
+# grid moved to the data's frame (coverings changed then on purpose); the
+# clusters sample bound is the bounding-box diagonal that caps 4 * tau_used
 PINNED = {
     ("clusters", "hash-budget"): (
         [0, 1, 2, 3, 12, 18, 21, 26],
         7.149298685313578, 7.149298685313578, 6, (32, 26, 13, 8, 12, 11)),
     ("clusters", "sample"): (
         [39],
-        84.0889480280295, 21.022237007007377, 1, (1,)),
+        61.85504971913264, 21.022237007007377, 1, (1,)),
     ("box", "hash-budget"): (
         [0, 1, 2, 3, 4, 6, 7, 11],
         9.271288593676738, 9.271288593676738, 6, (36, 33, 23, 8, 14, 16)),
@@ -338,6 +339,44 @@ def test_coreset_solution_keeps_the_additive_slack(instance, method, seed):
     sol = gonzalez(data.take(result.subset), k)
     full = evaluate_on_full(data, result.subset, sol)
     assert full <= (sol.cost_on_solve_set + result.radius_bound) * (1 + 1e-9)
+
+
+def capped_instance(name, seed):
+    """(dataset, k, hash budget) for test_radius_bound_is_capped_at_the_diagonal."""
+    if name == "clusters":
+        return instances()["clusters"], 2, 10
+    if name == "budget-1-d20":
+        spec = SyntheticSpec("gaussian_mixture", n=400, d=20, k_planted=4, seed=1)
+        return generate_synthetic(spec)[0], 1, 1
+    data, k = edge_instance("far-offset", seed)
+    return data, k, 100
+
+
+CAPPED_BUILDS = {
+    "hash-budget": (1.0, lambda data, k, budget, seed: build_covering_hash(
+        data, HashCoveringConfig(k=k, budget=budget, seed=seed))),
+    "sample": (sampling._RADIUS_FACTOR, lambda data, k, budget, seed: build_covering_sample(
+        data, SampleCoveringConfig(k=k, sample_constant=0.1, seed=seed))),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("method", sorted(CAPPED_BUILDS))
+@pytest.mark.parametrize("instance", ["clusters", "budget-1-d20", "far-offset"])
+def test_radius_bound_is_capped_at_the_diagonal(instance, method, seed):
+    # any one row is within the bounding-box diagonal of every row, so no
+    # radius bound need exceed it: on the clusters sample build (4 * tau is
+    # 84 against a diagonal of 62) and the budget-1 grid in d = 20 (tau
+    # doubles past one cell holding every row) the cap binds
+    data, k, budget = capped_instance(instance, seed)
+    factor, build = CAPPED_BUILDS[method]
+    result = build(data, k, budget, seed)
+    extent = data.coords.max(axis=0) - data.coords.min(axis=0)
+    diagonal = float(np.sqrt((extent**2).sum()))
+    assert covering_ok(data.coords, result.subset, result.radius_bound)
+    assert result.radius_bound <= diagonal * (1 + 1e-12)
+    if (instance, method) in {("clusters", "sample"), ("budget-1-d20", "hash-budget")}:
+        assert result.radius_bound < factor * result.tau_used
 
 
 @pytest.mark.parametrize("budget", [300, 301])
