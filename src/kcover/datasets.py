@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,6 +13,9 @@ import numpy as np
 from .core import STREAM_SYNTH, Dataset, rng_stream
 
 _PLACEMENT_TRIES_PER_CENTER = 200
+# np.loadtxt refuses a newline delimiter; csv gives '"' its quote role, and
+# from Python 3.13 refuses it as a delimiter
+_FIELD_PASS_DELIMITERS = '\r\n"'
 
 
 class CsvFormatError(ValueError):
@@ -29,11 +33,60 @@ def load_csv(path, delimiter: str = ",", skip_header: bool = False,
              column_range: tuple[int, int] | None = None) -> Dataset:
     """Read numeric rows into a Dataset.
 
-    column_range selects a half-open [start, stop) slice of each row's
-    fields (0-based); all rows must have the same field count. Parse errors
-    name the offending 1-based row and column.
+    The grammar is one point per line, with lines ending in \\n, \\r\\n or \\r.
+    Fields are split on the one-character delimiter with csv quoting, so
+    "1.5" reads as 1.5. Each field is stripped of whitespace and read with
+    Python's float, so 1_000 and non-ASCII digits parse; every value must be
+    finite. Blank and whitespace-only lines are skipped, skip_header drops the
+    first record, and every other row must have the same field count.
+    column_range selects a half-open [start, stop) slice of each row's fields
+    (0-based). Parse errors name the offending 1-based row and column.
+
+    A clean file takes one C parse (np.loadtxt). Any file that parse does not
+    take cleanly is read again field by field, and that pass decides: it
+    returns the same coordinates, bit for bit, or raises the CsvFormatError.
     """
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ValueError(f"delimiter must be one character, got {delimiter!r}")
     path = Path(path)
+    coords = _parse_clean(path, delimiter, skip_header, column_range)
+    if coords is None:
+        coords = _parse_fields(path, delimiter, skip_header, column_range)
+    return Dataset(coords)
+
+
+def _parse_clean(path, delimiter, skip_header, column_range):
+    """Every field of the file in one np.loadtxt call, column_range sliced
+    afterwards; None where the field-by-field pass must decide."""
+    if delimiter in _FIELD_PASS_DELIMITERS:
+        return None
+    # the same open as the field pass, so the same decoding and no
+    # decompression by file suffix, which np.loadtxt applies to a path; csv
+    # finds the end of a header record that a quote carries over several lines
+    with open(path, newline="") as fh:
+        if skip_header:
+            next(csv.reader(fh, delimiter=delimiter), None)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                # no usecols: with it loadtxt accepts rows wider or narrower
+                # than the first
+                fields = np.loadtxt(fh, dtype=np.float64, delimiter=delimiter,
+                                    comments=None, ndmin=2)
+        except ValueError:
+            return None
+    start, stop = column_range if column_range is not None else (0, fields.shape[1])
+    if not (0 <= start < stop <= fields.shape[1]):
+        return None
+    coords = fields[:, start:stop]
+    if coords.shape[0] == 0 or not np.isfinite(coords).all():
+        return None
+    return coords
+
+
+def _parse_fields(path, delimiter, skip_header, column_range) -> np.ndarray:
+    """The field-by-field parse with csv and float, which places every error."""
     rows: list[list[float]] = []
     width = None
     with open(path, newline="") as fh:
@@ -70,7 +123,7 @@ def load_csv(path, delimiter: str = ",", skip_header: bool = False,
             rows.append(parsed)
     if not rows:
         raise CsvFormatError(path, 1, None, "no data rows")
-    return Dataset(np.asarray(rows, dtype=np.float64))
+    return np.asarray(rows, dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,17 @@
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import kcover.datasets
 from kcover.datasets import (
     CsvFormatError,
     SyntheticSpec,
+    _parse_fields,
     generate_synthetic,
     load_csv,
 )
@@ -14,6 +22,10 @@ def write(tmp_path, text, name="data.csv"):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+def no_field_pass(path, *args):
+    raise AssertionError(f"{path} took the field-by-field pass")
 
 
 def test_load_csv_basic(tmp_path):
@@ -38,7 +50,9 @@ def test_load_csv_parse_error_location(tmp_path):
     assert "abc" in str(err.value)
 
 
-def test_load_csv_missing_file(tmp_path):
+def test_load_csv_missing_file(tmp_path, monkeypatch):
+    # the OSError of the one open, with no second read
+    monkeypatch.setattr(kcover.datasets, "_parse_fields", no_field_pass)
     with pytest.raises(OSError):
         load_csv(tmp_path / "absent.csv")
 
@@ -75,6 +89,133 @@ def test_load_csv_rejects_empty_and_nonfinite(tmp_path):
         load_csv(write(tmp_path, "", name="empty.csv"))
     with pytest.raises(CsvFormatError):
         load_csv(write(tmp_path, "1,inf\n", name="inf.csv"))
+
+
+def test_load_csv_savetxt_file_takes_one_c_parse(tmp_path, monkeypatch):
+    # what `kcover synth` and the benchmark write: one loadtxt call, and the
+    # coordinates bit for bit, -0.0, subnormals and extremes included
+    rng = np.random.default_rng(0)
+    coords = rng.standard_normal((300, 5)) * 10.0 ** rng.integers(-300, 300, size=(300, 5))
+    coords[0, :] = [-0.0, 0.0, 5e-324, -1.7976931348623157e308, 2.2250738585072014e-308]
+    p = tmp_path / "points.csv"
+    np.savetxt(p, coords, delimiter=",", fmt="%.17g")
+    monkeypatch.setattr(kcover.datasets, "_parse_fields", no_field_pass)
+    got = load_csv(p).coords
+    assert np.array_equal(got.view(np.int64), coords.view(np.int64))
+    got = load_csv(p, column_range=(1, 4)).coords
+    assert np.array_equal(got.view(np.int64), coords[:, 1:4].view(np.int64))
+
+
+@pytest.mark.parametrize("delimiter", ["", "::", None, 1])
+def test_load_csv_delimiter_is_one_character(tmp_path, delimiter):
+    # checked before the file is opened
+    with pytest.raises(ValueError, match="one character"):
+        load_csv(tmp_path / "absent.csv", delimiter=delimiter)
+
+
+# --- the C parse against the field-by-field pass -------------------------
+
+DELIMITERS = [",", ";", "\t", "|", " "]
+FAULTS = ["abc", "nan", "inf", "1e400", "1_000", '"1.5"', ""]
+
+
+@st.composite
+def numbers(draw):
+    x = draw(st.floats(allow_nan=False, allow_infinity=False))
+    form = draw(st.sampled_from(["repr", "%.17g", "%e", "int", "literal"]))
+    if form == "repr":
+        return repr(x)
+    if form == "int":
+        return str(draw(st.integers(-10**20, 10**20)))
+    if form == "literal":
+        return draw(st.sampled_from(["-0.0", "+1", ".5", "1."]))
+    return form % x
+
+
+@st.composite
+def csv_files(draw):
+    """(text, delimiter, skip_header, column_range) from a small grammar of
+    numbers, padding, blank lines and line ends, with injected faults."""
+    delimiter = draw(st.sampled_from(DELIMITERS))
+    pads = st.sampled_from([p for p in ["", " ", "  ", "\t"] if delimiter not in p])
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(numbers(), min_size=width, max_size=width),
+                         min_size=1, max_size=5))
+    rows = [[draw(pads) + f + draw(pads) for f in row] for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        fault = draw(st.sampled_from(["field", "wider", "narrower", "trailing"]))
+        if fault == "wider":
+            row.append("1")
+        elif fault == "trailing":
+            row.append("")
+        elif row and fault == "narrower":
+            row.pop()
+        elif row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(FAULTS))
+    lines = [delimiter.join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", " ", "\t", " \t "])))
+    if draw(st.booleans()):
+        lines.insert(0, delimiter.join(f"x{j}" for j in range(width)))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    column_range = draw(st.none() | st.tuples(st.integers(0, width), st.integers(1, width + 1)))
+    return text, delimiter, draw(st.booleans()), column_range
+
+
+def outcome(parse):
+    try:
+        return "ok", parse().view(np.int64)
+    except CsvFormatError as exc:
+        return "error", exc.row, exc.column, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_files())
+@example(("1,2\n  \n3,4\n", ",", False, None))          # whitespace-only line
+@example(("1\n \t\n3\n", ",", False, None))
+@example(('"1.5",2\n', ",", False, None))               # csv quoting
+@example(("1_000,2\n", ",", False, None))               # Python float syntax
+@example(("١,٢\n", ",", False, None))  # non-ASCII digits
+@example(("Infinity,2\n", ",", False, None))            # inf in loadtxt too
+@example(("1,nan\n3,4\n", ",", False, (0, 1)))          # non-finite outside the range
+@example(("1,2,3\n4,5,6,7\n", ",", False, (0, 2)))      # wider row under a range
+@example(("1,2,3\n4,5\n", ",", False, (0, 2)))          # narrower row under a range
+@example(("1,2\n", ",", False, (1, 3)))                 # range wider than the rows
+@example(("1,2\n", ",", False, (1, 1)))
+@example(('"x\n1,2\n3,4\n', ",", True, None))           # quoted header, never closed
+@example(('"x\ny",9\n1,2\n3,4\n', ",", True, None))     # quoted header over two lines
+@example(("x,y\n1,2\n", ",", False, None))              # header not skipped
+@example(("1,2\n", ",", True, None))                    # header only
+@example(("", ",", False, None))
+@example(("\n\n", ",", False, None))
+@example(("1,2,\n3,4,\n", ",", False, None))            # trailing delimiter
+@example(("1,2,\n3,4,\n", ",", False, (0, 2)))
+@example(("1,,2\n", ",", False, None))                  # empty field
+@example(("1  2\n", " ", False, None))                  # two space delimiters
+@example(("1\r\n2\r3\n", ",", False, None))
+def test_load_csv_matches_the_field_pass(case):
+    # load_csv either returns the field pass's coordinates bit for bit
+    # (-0.0 included) or raises its error at the same row and column, and
+    # warns of nothing (loadtxt warns on a file with no rows)
+    text, delimiter, skip_header, column_range = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = outcome(lambda: load_csv(path, delimiter, skip_header, column_range).coords)
+        slow = outcome(lambda: _parse_fields(path, delimiter, skip_header, column_range))
+    assert fast[0] == slow[0], (fast, slow)
+    if fast[0] == "ok":
+        assert fast[1].shape == slow[1].shape and np.array_equal(fast[1], slow[1])
+    else:
+        assert fast == slow
 
 
 def test_synthetic_degenerate_cluster():

@@ -433,6 +433,17 @@ def test_cli_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("delimiter", ["::", ""])
+def test_cli_delimiter_must_be_one_character(tmp_path, capsys, delimiter):
+    data_path = synth_csv(tmp_path, n=40, k=2, seed=6)
+    solution_path = tmp_path / "sol.json"
+    solution_path.write_text(json.dumps({"centers": [0, 1]}))
+    rc = main(["eval", "--input", str(data_path), "--solution", str(solution_path),
+               "--delimiter", delimiter])
+    assert rc == EXIT_USAGE
+    assert "one character" in capsys.readouterr().err
+
+
 def test_cli_has_no_lowdim_method(tmp_path, capsys):
     data_path = synth_csv(tmp_path, n=40, k=2, seed=6)
     with pytest.raises(SystemExit) as err:
