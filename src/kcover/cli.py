@@ -9,7 +9,7 @@ Subcommands:
   eval      cost of a stored solution (center row indices) on a dataset
   sweep     method x budget x trial comparison grid, CSV or JSON report
 
-Exit codes: 0 ok, 2 invalid arguments, 3 construction failed, 4 I/O error.
+Exit codes: 0 ok, 2 invalid arguments or malformed CSV, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ import sys
 
 import numpy as np
 
-from .core import ConstructionFailedError, Dataset, cost, index_subset
+from .core import Dataset, cost, index_subset
 from .datasets import SyntheticSpec, generate_synthetic, load_csv
 from .experiment import CORESET_METHODS, build_coreset, emit_report, run_sweep
 from .solver import gonzalez
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_CONSTRUCTION = 3
 EXIT_IO = 4
 
 
@@ -220,9 +219,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConstructionFailedError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
     except (ValueError, KeyError) as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,7 +12,8 @@ calls the construction's per-scale step on scales tau found from L: the
 sample construction (kcover.sampling) doubles tau from L until its rounds
 converge, and the grid-hash construction starts at L * min(1, k / budget),
 doubles until a scale fits and closes with geometric bisection. Neither
-search tries a scale below its start.
+search tries a scale below its start, and both stop doubling at the data's
+diagonal, where row 0 alone covers every row.
 
 The grid-hash step hashes the points into a grid at scale tau, with a
 fresh random shift at every scale, and keeps one representative per
@@ -45,7 +46,6 @@ from .core import (
     STREAM_ANCHOR,
     STREAM_GRID_SHIFT,
     STREAM_SCALE_FILTER,
-    ConstructionFailedError,
     Dataset,
     column_extents,
     first_occurrences,
@@ -55,10 +55,6 @@ from .core import (
 )
 from .solver import gonzalez
 
-# extra doublings a budgeted search grants past the scale at which one cell
-# can hold the whole spread; termination there only needs one shift that
-# puts the whole spread inside a single cell
-_BUDGET_EXTRA_DOUBLINGS = 64
 # bisection steps after a budgeted search brackets the fitting scale,
 # which leaves tau within 2**(1/4) of the smallest fitting one. With one step
 # (within sqrt(2)), 3 of 48 covering seeds at desk scale, budget 8k, cost
@@ -208,7 +204,9 @@ class CoveringResult:
     records the exact count of distinct cells of the rows it hashed: the
     full pass or, where a fixed row subsample already exceeded the budget,
     that subsample. A sampling scale records the distinct rows its rounds
-    drew, accepted or not.
+    drew, accepted or not. A sweep that reaches the data's diagonal without
+    a fitting scale keeps row 0 at that scale, whose entry is the size its
+    step found.
     """
 
     subset: np.ndarray
@@ -305,17 +303,18 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
     budget; otherwise the anchor is taken on the distinct rows. A budget of
     n or more skips the anchor and keeps the collapse.
 
-    Without a budget (the sample construction), tau doubles from L until a
-    scale accepts or the radius bound reaches the bounding-box diagonal.
-    With one, tau starts at tau0 = L * min(1, k / budget), or at
-    2**-61 * sqrt(d) * spread if that is larger, so that no cell index of a
-    grid in the data's frame outgrows int64, and doubles until a scale fits,
-    up to _BUDGET_EXTRA_DOUBLINGS past the scale at which one grid cell can
-    hold the whole spread. A first scale that fits is kept; at tau0 its radius
-    bound is at most a fraction min(1, k / budget) of the optimum, as L <= opt.
-    Otherwise _BISECTIONS geometric bisection steps between the last scale
-    that did not fit and the first that did keep each midpoint that fits.
-    No scale below the start is tried.
+    Without a budget (the sample construction), tau starts at L. With one,
+    it starts at tau0 = L * min(1, k / budget), or at 2**-61 * sqrt(d) *
+    spread if that is larger, so that no cell index of a grid in the data's
+    frame outgrows int64. Either way tau doubles until a scale fits or one
+    that does not has radius_factor * tau at or past the diagonal: row 0
+    alone covers every row within the diagonal, so it is that scale's
+    subset, and no sweep fails. A first scale that fits is kept; at tau0 its
+    radius bound is at most a fraction min(1, k / budget) of the optimum, as
+    L <= opt. Otherwise a budgeted search takes _BISECTIONS geometric
+    bisection steps between the last scale that did not fit and the first
+    that did (or took row 0), keeping each midpoint that fits. No scale
+    below the start is tried.
     """
     coords = dataset.coords
     low, high = column_extents(coords) if extents is None else extents
@@ -351,24 +350,20 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
         # it; more than budget >= 1 distinct rows means a nonzero spread
         anchor = scale_anchor(dataset.take(reps), k, seed) or spread
 
-    if budget is None:
-        tau = anchor
-        top = diagonal / radius_factor
-    else:
+    tau = anchor
+    if budget is not None:
         # from 2**-61 sqrt(d) spread up, a row's offset from a grid corner
         # in the data's frame stays below 2**61 + 1 cell sides
         tau = max(anchor * min(1.0, k / budget),
                   2.0**-61 * math.sqrt(dataset.d) * spread)
-        # one cell can hold the whole spread from scale 2 d**1.5 spread on,
-        # and a few fresh shifts past it succeed with overwhelming probability
-        top = 2.0 * dataset.d ** 1.5 * spread * 2.0**_BUDGET_EXTRA_DOUBLINGS
     lo = None
     best = attempt(tau)
-    while best is None:
-        if tau >= top:
-            raise ConstructionFailedError(f"no scale up to {top:g} fit", sizes=sizes)
+    while best is None and radius_factor * tau < diagonal:
         lo, tau = tau, 2.0 * tau
         best = attempt(tau)
+    if best is None:
+        # every row is within the diagonal of row 0
+        best = np.zeros(1, dtype=np.int64)
     if budget is None or lo is None:
         return accepted(best, tau)
     hi = tau

@@ -45,6 +45,9 @@ def load_csv(path, delimiter: str = ",", skip_header: bool = False,
     A clean file takes one C parse (np.loadtxt). Any file that parse does not
     take cleanly is read again field by field, and that pass decides: it
     returns the same coordinates, bit for bit, or raises the CsvFormatError.
+    The C parse has no limit on a field's length, so a clean file still loads
+    with a numeric field longer than csv's limit of 131,072 characters; in a
+    file that goes to the field pass, such a field is a CsvFormatError.
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
@@ -64,9 +67,9 @@ def _parse_clean(path, delimiter, skip_header, column_range):
     # decompression by file suffix, which np.loadtxt applies to a path; csv
     # finds the end of a header record that a quote carries over several lines
     with open(path, newline="") as fh:
-        if skip_header:
-            next(csv.reader(fh, delimiter=delimiter), None)
         try:
+            if skip_header:
+                next(csv.reader(fh, delimiter=delimiter), None)
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                         UserWarning)
@@ -74,7 +77,7 @@ def _parse_clean(path, delimiter, skip_header, column_range):
                 # than the first
                 fields = np.loadtxt(fh, dtype=np.float64, delimiter=delimiter,
                                     comments=None, ndmin=2)
-        except ValueError:
+        except (ValueError, csv.Error):
             return None
     start, stop = column_range if column_range is not None else (0, fields.shape[1])
     if not (0 <= start < stop <= fields.shape[1]):
@@ -85,13 +88,22 @@ def _parse_clean(path, delimiter, skip_header, column_range):
     return coords
 
 
+def _records(path, reader):
+    """csv's records, with a csv.Error (a field past csv's length limit, for
+    one) raised as a CsvFormatError at the line where the reader stopped."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CsvFormatError(path, reader.line_num, None, str(exc)) from None
+
+
 def _parse_fields(path, delimiter, skip_header, column_range) -> np.ndarray:
     """The field-by-field parse with csv and float, which places every error."""
     rows: list[list[float]] = []
     width = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        for lineno, record in enumerate(reader, start=1):
+        for lineno, record in enumerate(_records(path, reader), start=1):
             if skip_header and lineno == 1:
                 continue
             if not record or all(not f.strip() for f in record):

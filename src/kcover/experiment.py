@@ -18,8 +18,7 @@ import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .core import (STREAM_SWEEP, STREAM_UNIFORM_SAMPLE, ConstructionFailedError, Dataset,
-                   rng_stream, uniform_rows)
+from .core import STREAM_SWEEP, STREAM_UNIFORM_SAMPLE, Dataset, rng_stream, uniform_rows
 from .covering import HashCoveringConfig, build_covering_hash
 from .sampling import SampleCoveringConfig, build_covering_sample
 from .solver import evaluate_on_full, gonzalez
@@ -106,8 +105,9 @@ def run_sweep(dataset: Dataset, k: int | None = None, methods=("hash", "uniform"
               dataset_name: str = "dataset") -> list[ExperimentReport]:
     """Run the grid and return reports sorted by (method, budget, trial).
 
-    Every cell builds, solves and evaluates on the dataset's own rows, so
-    each row's cost_on_full is the k-center cost of its centers on the input.
+    Every cell builds (no construction fails), solves and evaluates on the
+    dataset's own rows, so each row's cost_on_full is the k-center cost of
+    its centers on the input.
     """
     methods = tuple(dict.fromkeys(methods))
     if not methods:
@@ -129,7 +129,7 @@ def run_sweep(dataset: Dataset, k: int | None = None, methods=("hash", "uniform"
         raise ValueError("budgets must be positive")
     budgets = tuple(sorted({min(b, n) for b in budgets}))
 
-    # a failed cell's row, apart from its method, budget, trial and times
+    # the fields every row shares; each row fills in the rest
     base = ExperimentReport(
         dataset_name=dataset_name, n=n, d=dataset.d, k=k,
         method="benchmark", budget_requested=n, coreset_size_actual=0,
@@ -159,11 +159,7 @@ def _run_cell(dataset: Dataset, cell: ExperimentReport, benchmark_cost: float) -
     """Fill in one cell's row: build, solve on the coreset, evaluate on dataset."""
     cell_seed = _cell_seed(cell.seed, cell.method, cell.budget_requested, cell.trial)
     t0 = time.perf_counter()
-    try:
-        subset, _ = build_coreset(cell.method, dataset, cell.k, cell.budget_requested, cell_seed)
-    except ConstructionFailedError:
-        build_seconds = time.perf_counter() - t0
-        return replace(cell, build_seconds=build_seconds, total_seconds=build_seconds)
+    subset, _ = build_coreset(cell.method, dataset, cell.k, cell.budget_requested, cell_seed)
     build_seconds = time.perf_counter() - t0
 
     sol = gonzalez(dataset.take(subset), cell.k, start_index=0)
@@ -181,8 +177,8 @@ def emit_report(reports, fmt: str = "csv", path=None) -> str:
     CSV uses the canonical column order; JSON is an array of objects with
     the same field names. Rows keep their given order, so emitting a sweep's
     output is deterministic byte-for-byte apart from the timing columns.
-    JSON has no NaN or infinity, so a non-finite value (the costs of a failed
-    cell, or a ratio over a zero benchmark cost) is written as null there.
+    JSON has no NaN or infinity, so a non-finite value (a ratio over a zero
+    benchmark cost) is written as null there.
     """
     header = [col for col, _ in REPORT_COLUMNS]
     rows = [[getattr(r, attr) for _, attr in REPORT_COLUMNS] for r in reports]

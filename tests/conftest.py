@@ -79,12 +79,17 @@ def exhaustive_discrete_opt(coords: np.ndarray, k: int) -> float:
     return min(max_min_dist(coords, c) for c in combinations(range(n), k))
 
 
-def ascending_scales(dataset, k: int, seed: int, radius_factor: float) -> int:
-    """Scales an ascending sweep tries before it gives up: tau doubles from
-    the anchor until the radius bound radius_factor * tau reaches the data's
-    bounding-box diagonal, and that last scale is tried too."""
+def bbox_diagonal(dataset) -> float:
+    """The data's bounding-box diagonal, not rounded up."""
     extent = dataset.coords.max(axis=0) - dataset.coords.min(axis=0)
-    diagonal = float(np.sqrt((extent**2).sum()))
+    return float(np.sqrt((extent**2).sum()))
+
+
+def ascending_scales(dataset, k: int, seed: int, radius_factor: float) -> int:
+    """Scales an ascending sweep tries when none fits: tau doubles from the
+    anchor until the radius bound radius_factor * tau reaches the data's
+    bounding-box diagonal, and that last scale is tried too."""
+    diagonal = bbox_diagonal(dataset)
     tau, scales = scale_anchor(dataset, k, seed), 1
     while tau < diagonal / radius_factor:
         tau, scales = 2.0 * tau, scales + 1

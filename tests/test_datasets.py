@@ -106,6 +106,24 @@ def test_load_csv_savetxt_file_takes_one_c_parse(tmp_path, monkeypatch):
     assert np.array_equal(got.view(np.int64), coords[:, 1:4].view(np.int64))
 
 
+# one numeric field longer than csv's field limit of 131,072 characters
+LONG_ONE = "0" * 200_000 + "1"
+
+
+def test_load_csv_field_past_the_csv_limit(tmp_path, monkeypatch):
+    # the field pass raises CsvFormatError, not csv's own error, at the row
+    # where csv stopped; the header skip gives such a field to that pass too
+    for name, text, skip in (("quoted.csv", f'{LONG_ONE},"2"\n3,4\n', False),
+                             ("header.csv", f"{LONG_ONE},y\n1,2\n", True)):
+        with pytest.raises(CsvFormatError, match="field limit") as err:
+            load_csv(write(tmp_path, text, name=name), skip_header=skip)
+        assert err.value.row == 1 and err.value.column is None
+    # a clean file with such a field takes the C parse, which has no limit
+    monkeypatch.setattr(kcover.datasets, "_parse_fields", no_field_pass)
+    data = load_csv(write(tmp_path, f"{LONG_ONE},2\n3,4\n", name="clean.csv"))
+    assert data.coords.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 @pytest.mark.parametrize("delimiter", ["", "::", None, 1])
 def test_load_csv_delimiter_is_one_character(tmp_path, delimiter):
     # checked before the file is opened

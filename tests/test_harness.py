@@ -11,8 +11,8 @@ import pytest
 
 import kcover.experiment
 import kcover.sampling
-from kcover.cli import EXIT_CONSTRUCTION, EXIT_IO, EXIT_USAGE, main
-from kcover.core import ConstructionFailedError, Dataset
+from kcover.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from kcover.core import Dataset
 from kcover.datasets import SyntheticSpec, generate_synthetic
 from kcover.experiment import (
     REPORT_COLUMNS,
@@ -234,16 +234,11 @@ def test_emit_json_field_names(tmp_path):
     assert records[0]["costRatioVsBenchmark"] == 1.25
 
 
-def test_emit_json_writes_non_finite_values_as_null(monkeypatch):
-    # a failed cell's costs are NaN and a ratio over a zero benchmark cost is
-    # inf; strict JSON parsers accept neither NaN nor Infinity
-    def fail(*args):
-        raise ConstructionFailedError("no scale fit")
-
-    monkeypatch.setattr(kcover.experiment, "build_coreset", fail)
-    rows = run_sweep(planted(n=60, k=2, seed=8), k=2, methods=("hash",),
-                     budgets=(4,), trials=1)
-    rows.append(sample_report(cost_ratio_vs_benchmark=math.inf))
+def test_emit_json_writes_non_finite_values_as_null():
+    # a ratio over a zero benchmark cost is inf, and a row built by hand can
+    # hold NaN; strict JSON parsers accept neither NaN nor Infinity
+    rows = [sample_report(cost_on_full=math.nan, cost_ratio_vs_benchmark=math.nan),
+            sample_report(cost_ratio_vs_benchmark=math.inf)]
 
     def reject(name):
         raise ValueError(f"{name} is not JSON")
@@ -444,6 +439,18 @@ def test_cli_delimiter_must_be_one_character(tmp_path, capsys, delimiter):
     assert "one character" in capsys.readouterr().err
 
 
+def test_cli_field_past_the_csv_limit_is_a_usage_error(tmp_path, capsys):
+    # a 200,001-character numeric field next to a quoted one goes to the
+    # field pass, past csv's field limit: a CsvFormatError, not a traceback
+    data_path = tmp_path / "long.csv"
+    data_path.write_text("0" * 200_000 + '1,"2"\n3,4\n')
+    solution_path = tmp_path / "sol.json"
+    solution_path.write_text(json.dumps({"centers": [0]}))
+    rc = main(["eval", "--input", str(data_path), "--solution", str(solution_path)])
+    assert rc == EXIT_USAGE
+    assert "row 1" in capsys.readouterr().err
+
+
 def test_cli_has_no_lowdim_method(tmp_path, capsys):
     data_path = synth_csv(tmp_path, n=40, k=2, seed=6)
     with pytest.raises(SystemExit) as err:
@@ -473,14 +480,17 @@ def test_cli_has_no_beta_flag(capsys, command):
 
 
 def test_cli_construction_failure_exit_code(tmp_path, capsys, monkeypatch):
-    # sampling rounds that never converge exhaust every scale
+    # sampling rounds that never converge: the sweep stops at the diagonal,
+    # where row 0 alone is a covering, so the command succeeds with it
     monkeypatch.setattr(kcover.sampling, "run_sampling_rounds",
                         lambda dataset, tau, cfg, tau_index=0: (None, 7))
     data_path = synth_csv(tmp_path, n=100, k=2, seed=7)
+    out = tmp_path / "z.json"
     rc = main(["coreset", "--input", str(data_path), "--method", "sample",
-               "--k", "2", "--output", str(tmp_path / "z.json")])
-    assert rc == EXIT_CONSTRUCTION
-    assert "construction failed" in capsys.readouterr().err
+               "--k", "2", "--output", str(out)])
+    assert rc == EXIT_OK
+    assert json.loads(out.read_text())["indices"] == [0]
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_missing_input_exit_code(tmp_path, capsys):

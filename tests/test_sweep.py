@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcover import covering, sampling
-from kcover.core import ConstructionFailedError, Dataset, first_occurrences
+from kcover.core import Dataset, first_occurrences
 from kcover.datasets import SyntheticSpec, generate_synthetic
 from kcover.covering import (
     HashCoveringConfig,
@@ -21,7 +21,7 @@ from kcover.covering import (
 from kcover.sampling import SampleCoveringConfig, build_covering_sample
 from kcover.solver import evaluate_on_full, gonzalez
 
-from conftest import ascending_scales, covering_ok, exhaustive_discrete_opt
+from conftest import ascending_scales, bbox_diagonal, covering_ok, exhaustive_discrete_opt
 
 
 def instances():
@@ -125,12 +125,16 @@ def test_budget_below_the_distinct_rows_of_a_zero_cost_instance(build):
 
 
 def test_sample_failure_carries_sizes(monkeypatch):
+    # rounds that never converge: tau doubles until the radius bound 4 tau
+    # reaches the diagonal, and row 0 alone covers every row there
     monkeypatch.setattr(sampling, "run_sampling_rounds",
                         lambda dataset, tau, cfg, tau_index=0: (None, 7))
     data = Dataset(np.random.default_rng(2).normal(size=(50, 2)))
-    with pytest.raises(ConstructionFailedError) as info:
-        build_covering_sample(data, SampleCoveringConfig(k=2, seed=0))
-    assert info.value.sizes == (7,) * ascending_scales(data, 2, 0, 4.0)
+    result = build_covering_sample(data, SampleCoveringConfig(k=2, seed=0))
+    assert result.subset.tolist() == [0]
+    assert result.sizes == (7,) * ascending_scales(data, 2, 0, 4.0)
+    assert result.radius_bound == pytest.approx(bbox_diagonal(data), rel=1e-12)
+    assert covering_ok(data.coords, result.subset, result.radius_bound)
 
 
 @st.composite
@@ -160,6 +164,27 @@ def threshold_step(t_star, calls):
     return step
 
 
+def doubling_scales(taus):
+    """The leading run of scales that each double the last: the doubling."""
+    run = [taus[0]]
+    for tau in taus[1:]:
+        if tau != 2.0 * run[-1]:
+            break
+        run.append(tau)
+    return run
+
+
+def assert_stopped_at_diagonal(data, result, taus, radius_factor):
+    """Row 0 at the first doubling scale whose radius bound reaches the
+    diagonal, with the bound capped there."""
+    diagonal = bbox_diagonal(data)
+    doubling = doubling_scales(taus)
+    assert result.subset.tolist() == [0] and result.tau_used == doubling[-1]
+    assert radius_factor * doubling[-1] >= diagonal
+    assert len(doubling) == 1 or radius_factor * doubling[-2] < diagonal * (1 + 1e-12)
+    assert result.radius_bound == pytest.approx(diagonal, rel=1e-12)
+
+
 BOX = instances()["box"]
 
 
@@ -177,10 +202,18 @@ def test_budget_sweep_brackets_the_fitting_scale(ratio):
     start = budget_start(BOX, 4, 7, 10)
     calls = []
     result = sweep_scales(BOX, 4, 7, threshold_step(t_star, calls), 1.0, budget=10)
-    assert min(tau for _, tau in calls) == calls[0][1] == start
+    taus = [tau for _, tau in calls]
+    assert min(taus) == taus[0] == start
     if t_star <= start:
         # a first scale that fits is kept
         assert result.tau_used == start and result.iterations == 1
+    elif t_star > doubling_scales(taus)[-1]:
+        # ratios 7.3 and 1e3 put t_star 1.6x and 222x past BOX's diagonal:
+        # the doubling stops at the diagonal with row 0, and no bisection
+        # midpoint below it fits
+        assert ratio > 1.0
+        assert_stopped_at_diagonal(BOX, result, taus, 1.0)
+        assert result.iterations == len(doubling_scales(taus)) + covering._BISECTIONS
     else:
         # each bisection step halves the bracket's log-width, from a factor 2
         width = 2.0 ** (0.5**covering._BISECTIONS)
@@ -201,13 +234,58 @@ def test_ascending_sweep_never_goes_below_the_anchor(ratio):
 
 @pytest.mark.parametrize("budget_mode", [False, True])
 def test_sweep_that_never_fits_reports_every_scale(budget_mode):
+    # no step fits: the sweep keeps row 0 at the diagonal, with one sizes
+    # entry per stepped scale, the bisection's included
     calls = []
-    with pytest.raises(ConstructionFailedError) as info:
-        sweep_scales(BOX, 4, 7, threshold_step(math.inf, calls), 2.0,
-                     budget=10 if budget_mode else None)
-    assert info.value.sizes == (2,) * len(calls)
-    if not budget_mode:
-        assert len(calls) == ascending_scales(BOX, 4, 7, 2.0)
+    result = sweep_scales(BOX, 4, 7, threshold_step(math.inf, calls), 2.0,
+                          budget=10 if budget_mode else None)
+    taus = [tau for _, tau in calls]
+    assert result.sizes == (2,) * len(calls)
+    assert [i for i, _ in calls] == list(range(len(calls)))
+    assert_stopped_at_diagonal(BOX, result, taus, 2.0)
+    if budget_mode:
+        assert len(calls) == len(doubling_scales(taus)) + covering._BISECTIONS
+    else:
+        assert len(calls) == ascending_scales(BOX, 4, 7, 2.0) == len(doubling_scales(taus))
+
+
+def recording_sweep(taus):
+    """sweep_scales with every stepped scale appended to taus."""
+    def sweep(dataset, k, seed, step, *args, **kwargs):
+        def recorded(i, tau):
+            taus.append(tau)
+            return step(i, tau)
+        return sweep_scales(dataset, k, seed, recorded, *args, **kwargs)
+    return sweep
+
+
+@settings(max_examples=100, deadline=None)
+@given(tiny_instances())
+def test_every_construction_returns_a_sound_covering(instance):
+    # tiny instances with repeated rows and d = 1..3; budgets 1, 2, k and n
+    # for the grid, and the sample construction once
+    coords, k, seed = instance
+    data = Dataset(coords)
+    k = min(k, data.n)
+    diagonal = bbox_diagonal(data)
+    builds = [(budget, 1.0, lambda budget=budget: build_covering_hash(
+                  data, HashCoveringConfig(k=k, budget=budget, seed=seed)))
+              for budget in sorted({1, 2, k, data.n})]
+    builds.append((None, 4.0, lambda: build_covering_sample(
+        data, SampleCoveringConfig(k=k, seed=seed))))
+    for budget, radius_factor, build in builds:
+        taus = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(covering, "sweep_scales", recording_sweep(taus))
+            patch.setattr(sampling, "sweep_scales", recording_sweep(taus))
+            result = build()
+        assert covering_ok(data.coords, result.subset, result.radius_bound)
+        if budget is not None:
+            assert result.size <= budget
+        # the doubling stops at its first scale past the diagonal
+        past = [tau for tau in (doubling_scales(taus) if taus else [])
+                if radius_factor * tau >= diagonal * (1 + 1e-12)]
+        assert len(past) <= 1
 
 
 def edge_instance(name, seed):
