@@ -27,19 +27,19 @@ gets 0 or 1 row: ``cost`` sends 1 row against 20, 32 or 316 centers, and a
 sampling round sends 0 rows against about 540 members.
 
 Exact row dedup, of grid cells and of coordinates alike, is one routine,
-``first_occurrences``, built on sorting and with no hashing. It reads each
-row as one bit string, every column's offset above the column minimum in
-the bits that column's span needs, high bits first, and folds the string
-into group ids over rounds: each round packs a row's group id and as many
-next bits as fit above the row index bits of one int64 key, and one
-in-place sort of the keys yields the next group ids. The grid step hands
-it packed cell numbers, one int64 per group of axes
+``first_occurrences``, with no hashing. It reads each row as one bit
+string, every column's offset above the column minimum in the bits that
+column's span needs, high bits first, and folds the string into group ids
+over rounds of one int64 key per row: a round whose keys take at most n
+values counts them in a table (``np.minimum.at``) and ends the fold, and
+any other puts the row index in the key's low bits and sorts. The grid
+step hands it packed cell numbers, one int64 per group of axes
 (``kcover.covering.eval_hash_batch``), so the fold sees those groups, not
-d cell coordinates: one column on every full pass of the benchmark's grid
-workloads, in d = 2 and d = 20 alike. When the columns' bits fit beside
-the row index one round does it all. Every count is exact, over a budget
-too. Value-only dedup of 1-D arrays (row indices, keys) is
-``sorted_distinct``, a sort and an adjacent compare.
+d cell coordinates: one column and one round on every full pass of the
+benchmark's grid workloads, a table round in d = 2 and a sort round in
+d = 20. Every count is exact, over a budget too. Value-only dedup of 1-D
+arrays (row indices, keys) is ``sorted_distinct``, a sort and an adjacent
+compare.
 """
 
 from __future__ import annotations
@@ -219,24 +219,24 @@ def first_occurrences(rows, budget=None):
     row that orders the rows as their columns do. The fold reads the string
     over rounds. A round packs each row into one int64 key: its group id
     from the rounds before, then as many next bits of the string as fit
-    below 2**63 beside it, crossing column edges, shifted left by row_bits =
-    bit_length(n - 1) and ORed with the row index. Subtract, shift, mask and
+    below 2**63 beside it, crossing column edges. Subtract, shift, mask and
     OR form every key; uint64 offsets wrap modulo 2**64 and every true
-    offset lies in [0, 2**64), so they are exact. One in-place sort groups
-    equal high bits with the lowest index first, and the groups' ranks,
-    scattered back through the index bits, are the next round's group ids.
-    The fold stops when the bits run out or every row is alone in its
-    group. A single column takes one round when its span times 2**row_bits
-    is at most 2**63. The group ids take at most row_bits, so for n up to
-    2**31 every round reads at least one bit.
+    offset lies in [0, 2**64), so they are exact. When the keys can take at
+    most n values (count << bits left <= n), a table round ends the fold:
+    ``np.minimum.at`` leaves each of that many slots the lowest row index
+    keyed to it, or n, with no sort. Otherwise the key is shifted left by
+    row_bits = bit_length(n - 1) and ORed with the row index, one in-place
+    sort groups equal high bits with the lowest index first, and the
+    groups' ranks, scattered back through the index bits, are the next
+    round's group ids. The fold also stops when the bits run out or every
+    row is alone in its group. The group ids take at most row_bits, so for
+    n up to 2**31 every round reads at least one bit.
     """
     arr = np.asarray(rows)
     if arr.dtype.kind == "f":
         arr = (arr.astype(np.float64, copy=False) + 0.0).view(np.int64)
     arr = np.ascontiguousarray(arr, dtype=np.int64)
     n = arr.shape[0]
-    row_bits = (n - 1).bit_length()
-    index = np.arange(n, dtype=np.uint64)
     # the widths are taken on Python ints, so a column spanning most of the
     # int64 range cannot overflow; column j holds bits [ends[j], ends[j + 1])
     low, high = column_extents(arr)
@@ -244,6 +244,9 @@ def first_occurrences(rows, budget=None):
     ends = np.cumsum([0] + [(b - a).bit_length() for a, b in zip(lo, high.tolist())]).tolist()
     count, taken, ids = 1, 0, None
     while True:
+        slots = count << (ends[-1] - taken)
+        # a table round keys rows without their index, so stop is ends[-1]
+        row_bits = 0 if slots <= n else (n - 1).bit_length()
         stop = min(ends[-1], taken + 63 - row_bits - (count - 1).bit_length())
         keys = ids
         if keys is not None:
@@ -258,10 +261,19 @@ def first_occurrences(rows, budget=None):
                 part >>= np.uint64(ends[j + 1] - end)
             if top > ends[j]:
                 part &= np.uint64((1 << (end - top)) - 1)
-            part <<= np.uint64(stop - end + row_bits)
+            if stop - end + row_bits:
+                part <<= np.uint64(stop - end + row_bits)
             keys = part if keys is None else np.bitwise_or(keys, part, out=keys)
-        keys = index.copy() if keys is None else np.bitwise_or(keys, index, out=keys)
-        keys = keys.view(np.int64)
+        if slots <= n:
+            # only rows with no bits at all leave keys unset: one group
+            keys = np.zeros(n, dtype=np.int64) if keys is None else keys.view(np.int64)
+            first = np.full(slots, n, dtype=np.int64)
+            np.minimum.at(first, keys, np.arange(n))
+            starts = first < n
+            count = int(np.count_nonzero(starts))
+            break
+        # a sort round has bits to read, so keys is set
+        keys = np.bitwise_or(keys, np.arange(n, dtype=np.uint64), out=keys).view(np.int64)
         keys.sort()
         starts = _group_starts(keys >> row_bits)
         count, taken = int(np.count_nonzero(starts)), stop
@@ -271,6 +283,8 @@ def first_occurrences(rows, budget=None):
         ids[keys & ((1 << row_bits) - 1)] = np.cumsum(starts) - 1
     if budget is not None and count > budget:
         return count, None
+    if slots <= n:
+        return count, np.sort(first[starts])
     return count, np.sort(keys[starts] & ((1 << row_bits) - 1))
 
 

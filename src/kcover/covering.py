@@ -314,7 +314,7 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
     L <= opt. Otherwise a budgeted search takes _BISECTIONS geometric
     bisection steps between the last scale that did not fit and the first
     that did (or took row 0), keeping each midpoint that fits. No scale
-    below the start is tried.
+    below the start is tried. Squared distances that overflow raise ValueError.
     """
     coords = dataset.coords
     low, high = column_extents(coords) if extents is None else extents
@@ -349,6 +349,8 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
         # with at most k distinct rows the optimum is 0 and any scale is above
         # it; more than budget >= 1 distinct rows means a nonzero spread
         anchor = scale_anchor(dataset.take(reps), k, seed) or spread
+    if not (math.isfinite(anchor) and math.isfinite(diagonal)):
+        raise ValueError("squared row distances overflow float64: rows spread too far")
 
     tau = anchor
     if budget is not None:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kcover import core
 from kcover.cli import EXIT_USAGE, main
 from kcover.core import (
     STREAM_ANCHOR,
@@ -356,6 +357,97 @@ def test_first_occurrences_past_2_20_rows():
     count, first = first_occurrences(rows)
     assert count == expect.size and first.tolist() == expect.tolist()
     assert first_occurrences(rows, budget=count - 1) == (count, None)
+
+
+@pytest.fixture
+def table_rounds(monkeypatch):
+    """Slots of every table round first_occurrences runs, in call order.
+
+    core's numpy is swapped for a proxy whose ``minimum.at``, the table
+    round's one call, records the table's size before it runs.
+    """
+    slots = []
+
+    class Minimum:
+        def at(self, table, *args):
+            slots.append(table.shape[0])
+            np.minimum.at(table, *args)
+
+    class Numpy:
+        minimum = Minimum()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(core, "np", Numpy())
+    return slots
+
+
+def check_against_unique(rows):
+    """first_occurrences at budgets None, count - 1 and count, against np.unique."""
+    expect = lexicographic_first(rows)
+    for budget in (None, expect.size - 1, expect.size):
+        count, first = first_occurrences(rows, budget)
+        assert count == expect.size
+        if budget is not None and count > budget:
+            assert first is None
+        else:
+            assert first.dtype == np.int64 and first.tolist() == expect.tolist()
+
+
+@pytest.mark.parametrize("n, slots", [(8, [8] * 3), (7, [])])
+def test_table_round_takes_key_spaces_of_at_most_n(table_rounds, n, slots):
+    # one column spanning 0..7 takes 3 bits, a key space of 8 slots: a table
+    # with 8 rows, a sort with 7 (n + 1 slots)
+    rows = np.array([[5], [0], [7], [5], [3], [0], [7], [1]])[-n:]
+    assert rows.min() == 0 and rows.max() == 7
+    check_against_unique(rows)
+    assert table_rounds == slots
+
+
+@pytest.mark.parametrize("n, slots", [(12, [12] * 3), (11, [])])
+def test_table_round_ends_a_multi_round_fold(table_rounds, n, slots):
+    # column 0 takes 59 bits and column 1 2 bits. Beside 4 row bits the first
+    # round sorts column 0's 59 bits into 3 groups; 3 groups times the 2 bits
+    # left are 12 slots, a table round for 12 rows and a sort for 11
+    high = [0, 2**58, 2**59 - 1]
+    pairs = [(0, 0), (1, 3), (2, 1), (0, 0), (1, 3), (2, 2),
+             (0, 3), (1, 0), (2, 1), (0, 0), (1, 3), (2, 2)][:n]
+    rows = np.array([[high[a], b] for a, b in pairs])
+    check_against_unique(rows)
+    assert table_rounds == slots
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (5, 1), (5, 3)])
+def test_table_round_on_rows_with_no_bits(table_rounds, shape):
+    # all-equal rows (and a single row) give every column zero width: one
+    # slot, one group, whose first row is 0
+    for rows in (np.full(shape, -3), np.full(shape, -0.0), np.full(shape, 2.5)):
+        check_against_unique(rows)
+    assert table_rounds == [1] * 9
+
+
+def test_table_round_on_float_rows_with_negative_zero(table_rounds):
+    # -0.0 reads as 0.0, and the subnormals 5e-324 and 1e-323 have bit
+    # patterns 1 and 2: two columns of 2 bits, 16 slots for 40 rows
+    pool = np.array([-0.0, 0.0, 5e-324, 1e-323])
+    rows = pool[np.random.default_rng(8).integers(0, 4, size=(40, 2))]
+    assert (rows.max(axis=0) == 1e-323).all()
+    check_against_unique(rows)
+    assert first_occurrences(rows)[0] == 9
+    assert table_rounds == [16] * 4
+
+
+def test_table_round_over_budget_counts_exactly(table_rounds):
+    # 5000 rows over 4096 cells: the count over any smaller budget is exact
+    rows = np.random.default_rng(9).integers(-2048, 2048, size=(5000, 1))
+    rows[:2] = [[-2048], [2047]]
+    expect = lexicographic_first(rows)
+    for budget in (0, 1, expect.size // 2, expect.size - 1):
+        assert first_occurrences(rows, budget) == (expect.size, None)
+    count, first = first_occurrences(rows, expect.size)
+    assert count == expect.size and first.tolist() == expect.tolist()
+    assert table_rounds == [4096] * 5
 
 
 @settings(max_examples=200, deadline=None)

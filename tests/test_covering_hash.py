@@ -202,25 +202,31 @@ def test_every_recorded_size_is_an_exact_cell_count(monkeypatch):
 def test_full_passes_pack_into_one_column(shape, monkeypatch):
     # the benchmark's grid workloads at a tenth and a fifth of their n: every
     # pass over all rows numbers each row's cell with one packed int64, so
-    # first_occurrences sorts one key column, never the d cell coordinates
+    # first_occurrences folds one key column, never the d cell coordinates.
+    # On lowd each full pass's cells also span a key space of at most n
+    # slots (so span + 1 <= n), which first_occurrences counts in a table
+    # round with no sort
     spec, k, budget = {
         "lowd": (SyntheticSpec("uniform_box", n=100_000, d=2, seed=21), 32, 3200),
         "desk": (SyntheticSpec("gaussian_mixture", n=20_000, d=20, k_planted=141,
                                seed=20), 141, 8 * 141),
     }[shape]
     data, _ = generate_synthetic(spec)
-    columns = []
+    columns, slots = [], []
 
     def recording(h, points, extents=None):
         cells = eval_hash_batch(h, points, extents)
         if len(points) == data.n:
             columns.append(cells.shape[1])
+            slots.append(1 << (int(cells.max()) - int(cells.min())).bit_length())
         return cells
 
     monkeypatch.setattr(covering, "eval_hash_batch", recording)
     for seed in (0, 1):
         build_covering_hash(data, HashCoveringConfig(k=k, budget=budget, seed=seed))
     assert len(columns) >= 2 and set(columns) == {1}
+    if shape == "lowd":
+        assert max(slots) <= data.n
 
 
 def test_config_validation():

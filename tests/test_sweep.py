@@ -477,3 +477,18 @@ def test_large_offset_at_large_n_stays_sound():
     result = build_covering_hash(
         data, HashCoveringConfig(k=4, budget=32, seed=0))
     assert covering_ok(data.coords, result.subset, result.radius_bound)
+
+
+@pytest.mark.parametrize("build", sorted(BUILDS))
+def test_spread_whose_squared_distances_overflow_raises(build):
+    # past a spread of about 1.3e154 a squared row distance overflows
+    # float64, so neither the anchor nor the diagonal is finite and no
+    # radius bound can be certified; at 1e150 both builders still cover
+    rows = np.random.default_rng(0).standard_normal((50, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="squared row distances overflow"):
+            BUILDS[build](Dataset(rows * 1e160))
+    data = Dataset(rows * 1e150)
+    result = BUILDS[build](data)
+    assert math.isfinite(result.radius_bound) and result.size < data.n
+    assert covering_ok(data.coords, result.subset, result.radius_bound)
