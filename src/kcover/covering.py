@@ -12,8 +12,8 @@ calls the construction's per-scale step on scales tau found from L: the
 sample construction (kcover.sampling) doubles tau from L until its rounds
 converge, and the grid-hash construction starts at L * min(1, k / budget),
 doubles until a scale fits and closes with geometric bisection. Neither
-search tries a scale below its start, and both stop doubling at the data's
-diagonal, where row 0 alone covers every row.
+search tries a scale below its start or one whose radius bound passes the
+data's diagonal, within which row 0 alone covers every row.
 
 The grid-hash step hashes the points into a grid at scale tau, with a
 fresh random shift at every scale, and keeps one representative per
@@ -204,9 +204,8 @@ class CoveringResult:
     records the exact count of distinct cells of the rows it hashed: the
     full pass or, where a fixed row subsample already exceeded the budget,
     that subsample. A sampling scale records the distinct rows its rounds
-    drew, accepted or not. A sweep that reaches the data's diagonal without
-    a fitting scale keeps row 0 at that scale, whose entry is the size its
-    step found.
+    drew, accepted or not. Where no scale fits, row 0 stands in at the last
+    one, whose entry is the size its step found.
     """
 
     subset: np.ndarray
@@ -292,8 +291,7 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
     """Scale search shared by every covering construction.
 
     step(i, tau) tries the i-th scale and returns (size, subset or None); a
-    subset means the scale is accepted, with radius bound radius_factor * tau
-    capped at the data's bounding-box diagonal, within which every row lies.
+    subset means the scale is accepted, with radius bound radius_factor * tau.
     Every tried scale's size goes into sizes. extents, when given, are
     column_extents(dataset.coords).
 
@@ -306,14 +304,16 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
     Without a budget (the sample construction), tau starts at L. With one,
     it starts at tau0 = L * min(1, k / budget), or at 2**-61 * sqrt(d) *
     spread if that is larger, so that no cell index of a grid in the data's
-    frame outgrows int64. Either way tau doubles until a scale fits or one
-    that does not has radius_factor * tau at or past the diagonal: row 0
-    alone covers every row within the diagonal, so it is that scale's
-    subset, and no sweep fails. A first scale that fits is kept; at tau0 its
-    radius bound is at most a fraction min(1, k / budget) of the optimum, as
-    L <= opt. Otherwise a budgeted search takes _BISECTIONS geometric
-    bisection steps between the last scale that did not fit and the first
-    that did (or took row 0), keeping each midpoint that fits. No scale
+    frame outgrows int64. Every scale is clamped to top = diagonal /
+    radius_factor, the bounding-box diagonal over the factor (a power of
+    two in both constructions, so radius_factor * top is the diagonal
+    exactly). Either way tau doubles up to top until a scale fits; row 0
+    alone covers every row within the diagonal, so it stands in when top's
+    step does not fit, and no sweep fails. A first scale that fits is kept;
+    at tau0 its radius bound is at most a fraction min(1, k / budget) of the
+    optimum, as L <= opt. Otherwise a budgeted search takes _BISECTIONS
+    geometric bisection steps between the last scale that did not fit and
+    the first that did (or top), keeping each midpoint that fits. No scale
     below the start is tried. Squared distances that overflow raise ValueError.
     """
     coords = dataset.coords
@@ -335,7 +335,7 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
         return subset
 
     def accepted(subset, tau: float) -> CoveringResult:
-        return CoveringResult(subset=subset, radius_bound=min(radius_factor * tau, diagonal),
+        return CoveringResult(subset=subset, radius_bound=radius_factor * tau,
                               tau_used=float(tau), sizes=tuple(sizes))
 
     # a budget of n or more always fits the exact-duplicate collapse
@@ -352,16 +352,17 @@ def sweep_scales(dataset: Dataset, k: int, seed: int, step, radius_factor: float
     if not (math.isfinite(anchor) and math.isfinite(diagonal)):
         raise ValueError("squared row distances overflow float64: rows spread too far")
 
+    top = diagonal / radius_factor
     tau = anchor
     if budget is not None:
         # from 2**-61 sqrt(d) spread up, a row's offset from a grid corner
         # in the data's frame stays below 2**61 + 1 cell sides
         tau = max(anchor * min(1.0, k / budget),
                   2.0**-61 * math.sqrt(dataset.d) * spread)
-    lo = None
+    lo, tau = None, min(tau, top)
     best = attempt(tau)
-    while best is None and radius_factor * tau < diagonal:
-        lo, tau = tau, 2.0 * tau
+    while best is None and tau < top:
+        lo, tau = tau, min(2.0 * tau, top)
         best = attempt(tau)
     if best is None:
         # every row is within the diagonal of row 0

@@ -1,14 +1,14 @@
 """Covering construction by repeated uniform sampling.
 
 At a candidate radius tau, each round draws a batch of uniform samples from
-the not-yet-covered pool and removes every pool point within 4 tau of the
+the not-yet-covered pool and removes every pool point within 2 tau of the
 batch. The test is neighbor.ExactOracle.farther_than: a screen that stops
-scanning a point once some chunk of the batch holds a member within 4 tau,
+scanning a point once some chunk of the batch holds a member within 2 tau,
 with the few points it cannot decide sent to the exact kernel, so the
 removed set is exactly the one exact distances give. When tau is at least
 the true cost, a batch of Theta(k log n) samples halves the pool with
 constant probability, so a logarithmic number of rounds empties it; the
-union of all batches is then a covering with radius bound 4 tau.
+union of all batches is then a covering with radius bound 2 tau.
 The rounds at one tau are the per-scale step of the shared sweep,
 covering.sweep_scales, which also handles duplicate-only data.
 """
@@ -25,11 +25,10 @@ from .covering import CoveringResult, sweep_scales
 from .neighbor import build_oracle
 
 _ROUNDS_PER_LOG = 5
-# removal radius and radius bound, in units of tau. The halving argument
-# needs only 2: within 2 tau of a batch member that shares an optimal
-# cluster. Every recorded result used 4, and the batch size is tuned
-# against it, so the factor stays until that batch size is re-measured.
-_RADIUS_FACTOR = 4.0
+# removal radius and radius bound, in units of tau: the halving argument
+# needs only 2, as a row is within 2 tau of a batch member that shares its
+# optimal cluster when tau is at least the optimum
+_RADIUS_FACTOR = 2.0
 
 
 @dataclass(frozen=True)

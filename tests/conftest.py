@@ -85,14 +85,20 @@ def bbox_diagonal(dataset) -> float:
     return float(np.sqrt((extent**2).sum()))
 
 
+def sweep_top(dataset, radius_factor: float) -> float:
+    """The largest scale a sweep tries: the bounding-box diagonal, rounded
+    up by 2 d eps as sweep_scales rounds it, over radius_factor."""
+    eps = np.finfo(np.float64).eps
+    return bbox_diagonal(dataset) * (1.0 + 2.0 * dataset.d * eps) / radius_factor
+
+
 def ascending_scales(dataset, k: int, seed: int, radius_factor: float) -> int:
     """Scales an ascending sweep tries when none fits: tau doubles from the
-    anchor until the radius bound radius_factor * tau reaches the data's
-    bounding-box diagonal, and that last scale is tried too."""
-    diagonal = bbox_diagonal(dataset)
-    tau, scales = scale_anchor(dataset, k, seed), 1
-    while tau < diagonal / radius_factor:
-        tau, scales = 2.0 * tau, scales + 1
+    anchor, clamped to the top scale (sweep_top), and top is tried too."""
+    top = sweep_top(dataset, radius_factor)
+    tau, scales = min(scale_anchor(dataset, k, seed), top), 1
+    while tau < top:
+        tau, scales = min(2.0 * tau, top), scales + 1
     return scales
 
 

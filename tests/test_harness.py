@@ -472,7 +472,7 @@ def test_cli_argparse_rejects_unknown_flag(capsys):
 
 @pytest.mark.parametrize("command", ["coreset", "sweep"])
 def test_cli_has_no_beta_flag(capsys, command):
-    # the sample radius factor is fixed at 4, so --beta is an unknown flag
+    # the sample radius factor is fixed at 2, so --beta is an unknown flag
     with pytest.raises(SystemExit) as err:
         main([command, "--input", "points.csv", "--output", "c.json", "--beta", "2"])
     assert err.value.code == EXIT_USAGE
@@ -519,7 +519,7 @@ def test_cli_installed_entry_point(tmp_path):
 # a null radiusBound
 PINNED_CORESETS = {
     "hash": "e10b3adf43ce0a0da2cf451b22d90594bbc5121d71a71f5b825586e07a65544f",
-    "sample": "ed368fc958e98e94b4148d68c5d050ce2c1c4590eb9a00efa5198bf7efd76c1a",
+    "sample": "ea868bae9426baf0d204e1daea9ff4cfbe4c00b918b26598f540394bec485b8a",
     "uniform": "2c3eea3e89110f64a2d68c866f0ffe87746820e46216341d64678b08f4038358",
 }
 # sha256 of run_sweep's CSV and JSON without the timing columns: all four

@@ -150,14 +150,14 @@ def test_covering_sound_on_random_instances():
         cfg = SampleCoveringConfig(k=k, seed=trial)
         result = build_covering_sample(data, cfg)
         assert covering_ok(data.coords, result.subset, result.radius_bound)
-        assert result.radius_bound == pytest.approx(4.0 * result.tau_used)
+        assert result.radius_bound == sampling._RADIUS_FACTOR * result.tau_used
 
 
 def test_subset_size_loop_accounting():
     data = planted_clusters(n=500, k=3, seed=9)
     cfg = SampleCoveringConfig(k=3, seed=1)
     result = build_covering_sample(data, cfg)
-    scales = ascending_scales(data, 3, 1, 4.0)  # radius bound 4 tau
+    scales = ascending_scales(data, 3, 1, sampling._RADIUS_FACTOR)
     bound = scales * round_budget(500) * batch_size(500, 3)
     assert result.size <= bound
 

@@ -21,7 +21,13 @@ from kcover.covering import (
 from kcover.sampling import SampleCoveringConfig, build_covering_sample
 from kcover.solver import evaluate_on_full, gonzalez
 
-from conftest import ascending_scales, bbox_diagonal, covering_ok, exhaustive_discrete_opt
+from conftest import (
+    ascending_scales,
+    bbox_diagonal,
+    covering_ok,
+    exhaustive_discrete_opt,
+    sweep_top,
+)
 
 
 def instances():
@@ -41,20 +47,20 @@ BUILDS = {
 
 # (subset, radius_bound, tau_used, iterations, sizes), recorded when the
 # grid moved to the data's frame (coverings changed then on purpose); the
-# clusters sample bound is the bounding-box diagonal that caps 4 * tau_used
+# sample rows are those that empty the pool within 2 tau
 PINNED = {
     ("clusters", "hash-budget"): (
         [0, 1, 2, 3, 12, 18, 21, 26],
         7.149298685313578, 7.149298685313578, 6, (32, 26, 13, 8, 12, 11)),
     ("clusters", "sample"): (
-        [39],
-        61.85504971913264, 21.022237007007377, 1, (1,)),
+        [8, 39],
+        42.04447401401475, 21.022237007007377, 1, (2,)),
     ("box", "hash-budget"): (
         [0, 1, 2, 3, 4, 6, 7, 11],
         9.271288593676738, 9.271288593676738, 6, (36, 33, 23, 8, 14, 16)),
     ("box", "sample"): (
-        [35],
-        12.547238069469616, 3.136809517367404, 1, (1,)),
+        [6, 34, 35],
+        6.273619034734808, 3.136809517367404, 1, (3,)),
 }
 
 
@@ -125,14 +131,17 @@ def test_budget_below_the_distinct_rows_of_a_zero_cost_instance(build):
 
 
 def test_sample_failure_carries_sizes(monkeypatch):
-    # rounds that never converge: tau doubles until the radius bound 4 tau
-    # reaches the diagonal, and row 0 alone covers every row there
+    # rounds that never converge: tau doubles up to the top scale, whose
+    # radius bound is the diagonal, and row 0 alone covers every row there
     monkeypatch.setattr(sampling, "run_sampling_rounds",
                         lambda dataset, tau, cfg, tau_index=0: (None, 7))
     data = Dataset(np.random.default_rng(2).normal(size=(50, 2)))
     result = build_covering_sample(data, SampleCoveringConfig(k=2, seed=0))
+    factor = sampling._RADIUS_FACTOR
     assert result.subset.tolist() == [0]
-    assert result.sizes == (7,) * ascending_scales(data, 2, 0, 4.0)
+    assert result.sizes == (7,) * ascending_scales(data, 2, 0, factor)
+    assert result.tau_used == sweep_top(data, factor)
+    assert result.radius_bound == factor * result.tau_used
     assert result.radius_bound == pytest.approx(bbox_diagonal(data), rel=1e-12)
     assert covering_ok(data.coords, result.subset, result.radius_bound)
 
@@ -156,33 +165,33 @@ def test_anchor_is_below_the_optimum(instance):
     assert scale_anchor(Dataset(coords), k, seed) <= opt + 1e-12 * (1.0 + opt)
 
 
-def threshold_step(t_star, calls):
-    """A step that fits exactly at the scales tau >= t_star."""
+def threshold_step(t_star, calls, below=math.inf):
+    """A step that fits exactly at the scales t_star <= tau < below."""
     def step(i, tau):
         calls.append((i, tau))
-        return (1, np.array([0])) if tau >= t_star else (2, None)
+        return (1, np.array([0])) if t_star <= tau < below else (2, None)
     return step
 
 
-def doubling_scales(taus):
-    """The leading run of scales that each double the last: the doubling."""
+def doubling_scales(taus, top):
+    """The leading run of scales that each double the last, clamped to top:
+    the doubling."""
     run = [taus[0]]
     for tau in taus[1:]:
-        if tau != 2.0 * run[-1]:
+        if run[-1] >= top or tau != min(2.0 * run[-1], top):
             break
         run.append(tau)
     return run
 
 
-def assert_stopped_at_diagonal(data, result, taus, radius_factor):
-    """Row 0 at the first doubling scale whose radius bound reaches the
-    diagonal, with the bound capped there."""
-    diagonal = bbox_diagonal(data)
-    doubling = doubling_scales(taus)
-    assert result.subset.tolist() == [0] and result.tau_used == doubling[-1]
-    assert radius_factor * doubling[-1] >= diagonal
-    assert len(doubling) == 1 or radius_factor * doubling[-2] < diagonal * (1 + 1e-12)
-    assert result.radius_bound == pytest.approx(diagonal, rel=1e-12)
+def assert_stopped_at_top(data, result, taus, radius_factor):
+    """Row 0 at the top scale, the doubling's last and the largest stepped,
+    with radius bound radius_factor * top: the rounded-up diagonal."""
+    top = sweep_top(data, radius_factor)
+    assert result.subset.tolist() == [0]
+    assert result.tau_used == doubling_scales(taus, top)[-1] == max(taus) == top
+    assert result.radius_bound == radius_factor * top
+    assert result.radius_bound == pytest.approx(bbox_diagonal(data), rel=1e-12)
 
 
 BOX = instances()["box"]
@@ -203,19 +212,21 @@ def test_budget_sweep_brackets_the_fitting_scale(ratio):
     calls = []
     result = sweep_scales(BOX, 4, 7, threshold_step(t_star, calls), 1.0, budget=10)
     taus = [tau for _, tau in calls]
+    top = sweep_top(BOX, 1.0)
     assert min(taus) == taus[0] == start
     if t_star <= start:
         # a first scale that fits is kept
         assert result.tau_used == start and result.iterations == 1
-    elif t_star > doubling_scales(taus)[-1]:
+    elif t_star > top:
         # ratios 7.3 and 1e3 put t_star 1.6x and 222x past BOX's diagonal:
-        # the doubling stops at the diagonal with row 0, and no bisection
-        # midpoint below it fits
+        # the doubling stops at top with row 0, and no bisection midpoint
+        # below it fits
         assert ratio > 1.0
-        assert_stopped_at_diagonal(BOX, result, taus, 1.0)
-        assert result.iterations == len(doubling_scales(taus)) + covering._BISECTIONS
+        assert_stopped_at_top(BOX, result, taus, 1.0)
+        assert result.iterations == len(doubling_scales(taus, top)) + covering._BISECTIONS
     else:
-        # each bisection step halves the bracket's log-width, from a factor 2
+        # each bisection step halves the bracket's log-width, from a factor
+        # of at most 2 (the step to top can be less than a doubling)
         width = 2.0 ** (0.5**covering._BISECTIONS)
         assert t_star <= result.tau_used <= width * t_star * (1 + 1e-12)
     assert [i for i, _ in calls] == list(range(result.iterations))
@@ -240,13 +251,36 @@ def test_sweep_that_never_fits_reports_every_scale(budget_mode):
     result = sweep_scales(BOX, 4, 7, threshold_step(math.inf, calls), 2.0,
                           budget=10 if budget_mode else None)
     taus = [tau for _, tau in calls]
+    doubling = doubling_scales(taus, sweep_top(BOX, 2.0))
     assert result.sizes == (2,) * len(calls)
     assert [i for i, _ in calls] == list(range(len(calls)))
-    assert_stopped_at_diagonal(BOX, result, taus, 2.0)
+    assert_stopped_at_top(BOX, result, taus, 2.0)
     if budget_mode:
-        assert len(calls) == len(doubling_scales(taus)) + covering._BISECTIONS
+        assert len(calls) == len(doubling) + covering._BISECTIONS
     else:
-        assert len(calls) == ascending_scales(BOX, 4, 7, 2.0) == len(doubling_scales(taus))
+        assert len(calls) == ascending_scales(BOX, 4, 7, 2.0) == len(doubling)
+
+
+def test_bisection_below_a_failed_top_lowers_the_bound():
+    # a grid's fresh shift can split the rows at top yet not at the scales
+    # just under it: here the step fails at top and at every doubling scale
+    # below, and fits between the last of those and top. At budget 8 that
+    # last doubling scale lies past top / sqrt(2), so only a bracket that
+    # ends at top puts a midpoint below the diagonal
+    top = sweep_top(BOX, 1.0)
+    last = budget_start(BOX, 4, 7, 8)
+    while 2.0 * last < top:
+        last *= 2.0
+    assert top / math.sqrt(2.0) <= last < top
+    calls = []
+    result = sweep_scales(BOX, 4, 7, threshold_step(math.nextafter(last, math.inf), calls,
+                                                     below=top), 1.0, budget=8)
+    assert result.radius_bound == result.tau_used < bbox_diagonal(BOX)
+    taus = [tau for _, tau in calls]
+    assert result.tau_used == taus[-1]
+    assert doubling_scales(taus, top)[-2:] == [last, top]
+    assert len(taus) == len(doubling_scales(taus, top)) + covering._BISECTIONS
+    assert max(taus) == top and all(last < tau < top for tau in taus[-2:])
 
 
 def recording_sweep(taus):
@@ -267,11 +301,10 @@ def test_every_construction_returns_a_sound_covering(instance):
     coords, k, seed = instance
     data = Dataset(coords)
     k = min(k, data.n)
-    diagonal = bbox_diagonal(data)
     builds = [(budget, 1.0, lambda budget=budget: build_covering_hash(
                   data, HashCoveringConfig(k=k, budget=budget, seed=seed)))
               for budget in sorted({1, 2, k, data.n})]
-    builds.append((None, 4.0, lambda: build_covering_sample(
+    builds.append((None, sampling._RADIUS_FACTOR, lambda: build_covering_sample(
         data, SampleCoveringConfig(k=k, seed=seed))))
     for budget, radius_factor, build in builds:
         taus = []
@@ -282,10 +315,11 @@ def test_every_construction_returns_a_sound_covering(instance):
         assert covering_ok(data.coords, result.subset, result.radius_bound)
         if budget is not None:
             assert result.size <= budget
-        # the doubling stops at its first scale past the diagonal
-        past = [tau for tau in (doubling_scales(taus) if taus else [])
-                if radius_factor * tau >= diagonal * (1 + 1e-12)]
-        assert len(past) <= 1
+        # no scale past top, and the bound is exactly the last scale's,
+        # which is then within the rounded-up diagonal
+        assert all(tau <= sweep_top(data, radius_factor) for tau in taus)
+        assert result.radius_bound == radius_factor * result.tau_used
+        assert result.radius_bound <= bbox_diagonal(data) * (1 + 1e-12)
 
 
 def edge_instance(name, seed):
@@ -443,18 +477,17 @@ CAPPED_BUILDS = {
 @pytest.mark.parametrize("instance", ["clusters", "budget-1-d20", "far-offset"])
 def test_radius_bound_is_capped_at_the_diagonal(instance, method, seed):
     # any one row is within the bounding-box diagonal of every row, so no
-    # radius bound need exceed it: on the clusters sample build (4 * tau is
-    # 84 against a diagonal of 62) and the budget-1 grid in d = 20 (tau
-    # doubles past one cell holding every row) the cap binds
+    # scale goes past diagonal / factor and the bound is factor * tau_used,
+    # never above the diagonal: the budget-1 grid in d = 20 fits no scale and
+    # keeps row 0 at that top scale
     data, k, budget = capped_instance(instance, seed)
     factor, build = CAPPED_BUILDS[method]
     result = build(data, k, budget, seed)
-    extent = data.coords.max(axis=0) - data.coords.min(axis=0)
-    diagonal = float(np.sqrt((extent**2).sum()))
     assert covering_ok(data.coords, result.subset, result.radius_bound)
-    assert result.radius_bound <= diagonal * (1 + 1e-12)
-    if (instance, method) in {("clusters", "sample"), ("budget-1-d20", "hash-budget")}:
-        assert result.radius_bound < factor * result.tau_used
+    assert result.radius_bound == factor * result.tau_used
+    assert result.radius_bound <= bbox_diagonal(data) * (1 + 1e-12)
+    if (instance, method) == ("budget-1-d20", "hash-budget"):
+        assert result.tau_used == sweep_top(data, factor)
 
 
 @pytest.mark.parametrize("budget", [300, 301])
